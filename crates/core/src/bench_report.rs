@@ -20,12 +20,12 @@
 //! regressions.
 
 use crate::experiments::{run_cuda_with, run_opencl_with};
+use crate::pool;
 use crate::pr::Pr;
 use gpucmp_benchmarks::{Scale, Verify};
 use gpucmp_runtime::FaultPlan;
 use gpucmp_sim::DeviceSpec;
 use gpucmp_trace::{dominant_counter, BenchReport, BenchRun, PrEntry, RUN_FAULT_SKIPPED, RUN_OK};
-use rayon::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Device names the campaign covers (the paper's CUDA-capable pair).
@@ -251,6 +251,11 @@ pub fn bench_report(scale: Scale) -> BenchReport {
 /// matches a healthy cached row is reused instead of re-executed; with
 /// `opts.shard`, only that slice of the matrix runs.
 pub fn bench_report_with(opts: &CampaignOptions) -> BenchReport {
+    campaign_on(pool::default_workers(), opts)
+}
+
+/// [`bench_report_with`] on a pool of exactly `workers` threads.
+fn campaign_on(workers: usize, opts: &CampaignOptions) -> BenchReport {
     let n = all_benchmarks(opts.scale).len();
     let triples: Vec<(usize, &'static str, &'static str)> = (0..n)
         .flat_map(|i| {
@@ -275,27 +280,23 @@ pub fn bench_report_with(opts: &CampaignOptions) -> BenchReport {
         .cache_from
         .as_ref()
         .filter(|_| opts.fault_seed.is_none());
-    let mut runs: Vec<(usize, BenchRun)> = triples
-        .par_iter()
-        .map(|&(i, dev_name, api)| {
-            let hash = input_fingerprint(opts, &bench_names_once[i], dev_name, api);
-            if let Some(hit) = cache.and_then(|c| {
-                c.run(&bench_names_once[i], dev_name, api)
-                    .filter(|r| r.is_ok() && r.input_hash == hash)
-            }) {
-                let mut reused = hit.clone();
-                reused.cached = true;
-                return (i, reused);
-            }
-            let mut run = run_one(opts, i, dev_name, api);
-            run.input_hash = hash;
-            run.cached = false;
-            (i, run)
-        })
-        .collect();
-    // deterministic order: benchmark registry order, device, then API
-    runs.sort_by(|a, b| (a.0, &a.1.device, &a.1.api).cmp(&(b.0, &b.1.device, &b.1.api)));
-    let runs: Vec<BenchRun> = runs.into_iter().map(|(_, r)| r).collect();
+    // The pool returns runs in input order: benchmark registry order,
+    // device, then API.
+    let runs: Vec<BenchRun> = pool::par_map_on(workers, &triples, |&(i, dev_name, api)| {
+        let hash = input_fingerprint(opts, &bench_names_once[i], dev_name, api);
+        if let Some(hit) = cache.and_then(|c| {
+            c.run(&bench_names_once[i], dev_name, api)
+                .filter(|r| r.is_ok() && r.input_hash == hash)
+        }) {
+            let mut reused = hit.clone();
+            reused.cached = true;
+            return reused;
+        }
+        let mut run = run_one(opts, i, dev_name, api);
+        run.input_hash = hash;
+        run.cached = false;
+        run
+    });
     let prs = derive_prs(&runs);
 
     BenchReport {
@@ -561,6 +562,20 @@ mod tests {
         for (a, b) in full.prs.iter().zip(&merged.prs) {
             assert_eq!(a.pr, b.pr);
         }
+    }
+
+    #[test]
+    fn report_text_is_independent_of_the_pool_size() {
+        // Shard 2/4 of the matrix: one API on one device, heavy and light
+        // cells interleaved, so three workers finish out of order.
+        let opts = CampaignOptions {
+            shard: Some((2, 4)),
+            ..CampaignOptions::new(Scale::Quick)
+        };
+        let serial = campaign_on(1, &opts).to_text();
+        let pooled = campaign_on(3, &opts).to_text();
+        assert!(serial.contains("\"GTX480\""));
+        assert_eq!(serial, pooled);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! evaluation, each returning structured data whose `Display` prints the
 //! same rows/series the paper reports.
 
+use crate::pool::par_map;
 use crate::pr::Pr;
 use gpucmp_benchmarks::common::{Benchmark, Scale, Verify};
 use gpucmp_benchmarks::{devicemem::DeviceMemory, maxflops::MaxFlops, mxm::MxM};
@@ -10,7 +11,6 @@ use gpucmp_compiler::Api;
 use gpucmp_ptx::InstStats;
 use gpucmp_runtime::{ClStatus, Cuda, FaultPlan, Gpu, GpuExt, OpenCl, RtError};
 use gpucmp_sim::{DeviceSpec, ExecOptions, ExecTier};
-use rayon::prelude::*;
 use std::fmt;
 
 /// Simulation options for experiment runs, from the environment.
@@ -299,31 +299,21 @@ pub fn fig3_performance_ratio(scale: Scale) -> Fig3 {
     let pairs: Vec<(usize, &'static str)> = (0..n)
         .flat_map(|i| [(i, "GTX280"), (i, "GTX480")])
         .collect();
-    let mut rows: Vec<PrRow> = pairs
-        .par_iter()
-        .map(|&(i, dev_name)| {
-            let bench = &gpucmp_benchmarks::real_world(scale)[i];
-            let device = DeviceSpec::by_name(dev_name).unwrap();
-            let c = run_cuda(bench.as_ref(), &device).expect("CUDA run");
-            let o = run_opencl(bench.as_ref(), &device).expect("OpenCL run");
-            PrRow {
-                bench: bench.name(),
-                device: device.name,
-                cuda: c.value,
-                opencl: o.value,
-                unit: c.metric.unit(),
-                pr: Pr::from_performance(o.performance(), c.performance()),
-                verified: c.verify.is_pass() && o.verify.is_pass(),
-            }
-        })
-        .collect();
-    // deterministic order: benchmark order, then device
-    rows.sort_by_key(|r| {
-        let bi = gpucmp_benchmarks::real_world(Scale::Quick)
-            .iter()
-            .position(|b| b.name() == r.bench)
-            .unwrap_or(99);
-        (bi, r.device)
+    // The pool keeps input order: benchmark order, then device.
+    let rows: Vec<PrRow> = par_map(&pairs, |&(i, dev_name)| {
+        let bench = &gpucmp_benchmarks::real_world(scale)[i];
+        let device = DeviceSpec::by_name(dev_name).unwrap();
+        let c = run_cuda(bench.as_ref(), &device).expect("CUDA run");
+        let o = run_opencl(bench.as_ref(), &device).expect("OpenCL run");
+        PrRow {
+            bench: bench.name(),
+            device: device.name,
+            cuda: c.value,
+            opencl: o.value,
+            unit: c.metric.unit(),
+            pr: Pr::from_performance(o.performance(), c.performance()),
+            verified: c.verify.is_pass() && o.verify.is_pass(),
+        }
     });
     Fig3 { rows }
 }
@@ -624,31 +614,28 @@ impl fmt::Display for UnrollStudy {
 
 /// Figs 6 & 7 — the FDTD unroll matrix on both NVIDIA GPUs.
 pub fn fig6_fig7_unroll(scale: Scale) -> UnrollStudy {
-    let rows = ["GTX280", "GTX480"]
-        .par_iter()
-        .map(|dev_name| {
-            let device = DeviceSpec::by_name(dev_name).unwrap();
-            let cuda_ab = run_cuda(&Fdtd::new(scale).with_unroll_a(true), &device)
-                .unwrap()
-                .value;
-            let cuda_b = run_cuda(&Fdtd::new(scale).with_unroll_a(false), &device)
-                .unwrap()
-                .value;
-            let opencl_b = run_opencl(&Fdtd::new(scale).with_unroll_a(false), &device)
-                .unwrap()
-                .value;
-            let opencl_ab = run_opencl(&Fdtd::new(scale).with_unroll_a(true), &device)
-                .unwrap()
-                .value;
-            UnrollRow {
-                device: device.name,
-                cuda_ab,
-                cuda_b,
-                opencl_b,
-                opencl_ab,
-            }
-        })
-        .collect();
+    let rows = par_map(&["GTX280", "GTX480"], |dev_name| {
+        let device = DeviceSpec::by_name(dev_name).unwrap();
+        let cuda_ab = run_cuda(&Fdtd::new(scale).with_unroll_a(true), &device)
+            .unwrap()
+            .value;
+        let cuda_b = run_cuda(&Fdtd::new(scale).with_unroll_a(false), &device)
+            .unwrap()
+            .value;
+        let opencl_b = run_opencl(&Fdtd::new(scale).with_unroll_a(false), &device)
+            .unwrap()
+            .value;
+        let opencl_ab = run_opencl(&Fdtd::new(scale).with_unroll_a(true), &device)
+            .unwrap()
+            .value;
+        UnrollRow {
+            device: device.name,
+            cuda_ab,
+            cuda_b,
+            opencl_b,
+            opencl_ab,
+        }
+    });
     UnrollStudy { rows }
 }
 
@@ -835,33 +822,29 @@ pub fn table6_portability(scale: Scale) -> Table6 {
         .collect();
     let device_names = ["HD5870", "Intel920", "Cell/BE"];
     let n = benches.len();
-    let cells: Vec<((usize, usize), PortCell)> = (0..device_names.len())
+    let coords: Vec<(usize, usize)> = (0..device_names.len())
         .flat_map(|d| (0..n).map(move |b| (d, b)))
-        .collect::<Vec<_>>()
-        .par_iter()
-        .map(|&(d, b)| {
-            let device = DeviceSpec::by_name(device_names[d]).unwrap();
-            let bench = &gpucmp_benchmarks::real_world(scale)[b];
-            let cell = match run_opencl(bench.as_ref(), &device) {
-                Ok(out) => match out.verify {
-                    Verify::Pass => PortCell::Ok(out.value),
-                    Verify::Fail(_) => PortCell::Fl,
-                },
-                Err(RtError::Cl(ClStatus::OutOfResources)) => {
-                    PortCell::Abt("CL_OUT_OF_RESOURCES".into())
-                }
-                Err(e) => PortCell::Abt(e.to_string()),
-            };
-            ((d, b), cell)
-        })
         .collect();
-    let mut rows: Vec<(&'static str, Vec<PortCell>)> = device_names
+    let mut cells = par_map(&coords, |&(d, b)| {
+        let device = DeviceSpec::by_name(device_names[d]).unwrap();
+        let bench = &gpucmp_benchmarks::real_world(scale)[b];
+        match run_opencl(bench.as_ref(), &device) {
+            Ok(out) => match out.verify {
+                Verify::Pass => PortCell::Ok(out.value),
+                Verify::Fail(_) => PortCell::Fl,
+            },
+            Err(RtError::Cl(ClStatus::OutOfResources)) => {
+                PortCell::Abt("CL_OUT_OF_RESOURCES".into())
+            }
+            Err(e) => PortCell::Abt(e.to_string()),
+        }
+    })
+    .into_iter();
+    // Cells come back in input order: one device's row after another.
+    let rows = device_names
         .iter()
-        .map(|d| (*d, vec![PortCell::Fl; n]))
+        .map(|d| (*d, cells.by_ref().take(n).collect()))
         .collect();
-    for ((d, b), cell) in cells {
-        rows[d].1[b] = cell;
-    }
     Table6 { benches, rows }
 }
 

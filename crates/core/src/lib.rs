@@ -22,6 +22,7 @@
 pub mod bench_report;
 pub mod experiments;
 pub mod fair;
+mod pool;
 pub mod pr;
 pub mod sim_speed;
 

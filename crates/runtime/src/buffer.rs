@@ -8,6 +8,7 @@
 //! call sites stop hand-multiplying byte sizes.
 
 use gpucmp_sim::DevPtr;
+use std::borrow::Cow;
 use std::marker::PhantomData;
 
 mod sealed {
@@ -24,8 +25,10 @@ pub trait DeviceScalar: sealed::Sealed + Copy + 'static {
     /// Size of the device representation in bytes.
     const BYTES: usize;
 
-    /// Append the little-endian device representation to `out`.
-    fn write_le(self, out: &mut Vec<u8>);
+    /// The little-endian device representation of `data`. On a
+    /// little-endian host that is `data`'s own memory, borrowed without a
+    /// copy.
+    fn slice_le_bytes(data: &[Self]) -> Cow<'_, [u8]>;
 
     /// Decode from exactly [`Self::BYTES`] little-endian bytes.
     fn from_le(bytes: &[u8]) -> Self;
@@ -38,8 +41,21 @@ macro_rules! device_scalar {
             const BYTES: usize = std::mem::size_of::<$t>();
 
             #[inline]
-            fn write_le(self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&self.to_le_bytes());
+            fn slice_le_bytes(data: &[Self]) -> Cow<'_, [u8]> {
+                if cfg!(target_endian = "little") {
+                    // SAFETY: a primitive number has no padding bytes, so
+                    // every byte of the slice is initialised; `u8` has
+                    // alignment 1; and the length is the slice's own size
+                    // in bytes, borrowed for the slice's lifetime.
+                    Cow::Borrowed(unsafe {
+                        std::slice::from_raw_parts(
+                            data.as_ptr().cast::<u8>(),
+                            std::mem::size_of_val(data),
+                        )
+                    })
+                } else {
+                    Cow::Owned(data.iter().flat_map(|v| v.to_le_bytes()).collect())
+                }
             }
 
             #[inline]
@@ -135,14 +151,17 @@ mod tests {
 
     #[test]
     fn round_trip_representations() {
-        let mut out = Vec::new();
-        1.5f32.write_le(&mut out);
-        (-2i32).write_le(&mut out);
-        0xdead_beefu32.write_le(&mut out);
-        assert_eq!(out.len(), 12);
+        let out = f32::slice_le_bytes(&[1.5, -0.0]);
+        assert_eq!(*out, [0, 0, 0xc0, 0x3f, 0, 0, 0, 0x80]);
         assert_eq!(<f32 as DeviceScalar>::from_le(&out[0..4]), 1.5);
-        assert_eq!(<i32 as DeviceScalar>::from_le(&out[4..8]), -2);
-        assert_eq!(<u32 as DeviceScalar>::from_le(&out[8..12]), 0xdead_beef);
+        if cfg!(target_endian = "little") {
+            assert!(matches!(out, Cow::Borrowed(_)), "uploads copy nothing");
+        }
+        let out = i32::slice_le_bytes(&[-2]);
+        assert_eq!(<i32 as DeviceScalar>::from_le(&out), -2);
+        let out = u64::slice_le_bytes(&[0x0102_0304_0506_0708]);
+        assert_eq!(*out, [8, 7, 6, 5, 4, 3, 2, 1]);
+        assert!(u16::slice_le_bytes(&[]).is_empty());
     }
 
     #[test]

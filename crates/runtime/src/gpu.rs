@@ -1152,18 +1152,14 @@ pub trait GpuExt: Gpu {
 
     /// Upload a slice of any [`DeviceScalar`] type.
     fn h2d_t<T: DeviceScalar>(&mut self, ptr: DevPtr, data: &[T]) -> Result<(), RtError> {
-        let mut bytes = Vec::with_capacity(data.len() * T::BYTES);
-        for v in data {
-            v.write_le(&mut bytes);
-        }
-        self.h2d(ptr, &bytes)
+        self.h2d(ptr, &T::slice_le_bytes(data))
     }
 
-    /// Download `len` elements of any [`DeviceScalar`] type.
+    /// Download `len` elements of any [`DeviceScalar`] type, converted
+    /// straight from the staged readback (see [`Gpu::d2h`]).
     fn d2h_t<T: DeviceScalar>(&mut self, ptr: DevPtr, len: usize) -> Result<Vec<T>, RtError> {
-        let mut bytes = vec![0u8; len * T::BYTES];
-        self.d2h(ptr, &mut bytes)?;
-        Ok(bytes.chunks_exact(T::BYTES).map(T::from_le).collect())
+        let ev = self.enqueue_d2h(Stream::DEFAULT, ptr, (len * T::BYTES) as u64)?;
+        self.take_readback_t(ev)
     }
 
     /// Allocate a typed device buffer of `len` elements.
@@ -1209,11 +1205,7 @@ pub trait GpuExt: Gpu {
         ptr: DevPtr,
         data: &[T],
     ) -> Result<Event, RtError> {
-        let mut bytes = Vec::with_capacity(data.len() * T::BYTES);
-        for v in data {
-            v.write_le(&mut bytes);
-        }
-        self.enqueue_h2d(stream, ptr, &bytes)
+        self.enqueue_h2d(stream, ptr, &T::slice_le_bytes(data))
     }
 
     /// Enqueue a typed upload into a buffer on `stream`. `data` outgrowing

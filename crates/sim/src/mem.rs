@@ -264,17 +264,21 @@ impl GlobalMemory {
     }
 }
 
-/// Bytes per overlay page.
-const PAGE_BYTES: usize = 4096;
+/// Bytes per overlay page: one GTX480 L1 line. Pages this small make an
+/// overlay's memory scale with the bytes a block writes rather than with
+/// the pages it touches — a 16x16 tile writer copies 16 lines, not 16
+/// 4 KiB pages.
+const PAGE_BYTES: usize = 128;
 const PAGE_SHIFT: u32 = PAGE_BYTES.trailing_zeros();
 const PAGE_MASK: u64 = PAGE_BYTES as u64 - 1;
 const DIRTY_WORDS: usize = PAGE_BYTES / 64;
 
-/// One copy-on-write page: a snapshot copy of the base page plus a byte
-/// dirty bitmap recording exactly which bytes the owning block wrote.
+/// One copy-on-write page, stored inline in the overlay's map: a snapshot
+/// copy of the base page plus a byte dirty bitmap recording exactly which
+/// bytes the owning block wrote.
 struct OverlayPage {
-    data: Box<[u8; PAGE_BYTES]>,
-    dirty: Box<[u64; DIRTY_WORDS]>,
+    data: [u8; PAGE_BYTES],
+    dirty: [u64; DIRTY_WORDS],
 }
 
 /// A per-block write overlay over a read-only [`GlobalMemory`] snapshot.
@@ -303,15 +307,9 @@ impl WriteOverlay {
         self.pages.len()
     }
 
-    #[inline]
-    fn byte_at(&self, base: &GlobalMemory, addr: u64) -> u8 {
-        match self.pages.get(&(addr >> PAGE_SHIFT)) {
-            Some(p) => p.data[(addr & PAGE_MASK) as usize],
-            None => base.data[addr as usize],
-        }
-    }
-
     /// Read `size` (1/2/4/8) bytes little-endian through the overlay.
+    /// An aligned access never crosses a page, so it reads one page: the
+    /// block's copy if it wrote there, the base snapshot otherwise.
     #[inline]
     pub fn read(&self, base: &GlobalMemory, addr: u64, size: u32) -> Result<u64, FaultKind> {
         if self.pages.is_empty() {
@@ -319,42 +317,32 @@ impl WriteOverlay {
         }
         check_aligned(Space::Global, addr, size)?;
         base.check(addr, size)?;
-        let first = addr >> PAGE_SHIFT;
-        let last = (addr + size as u64 - 1) >> PAGE_SHIFT;
-        if first == last {
-            let a = (addr & PAGE_MASK) as usize;
-            let buf: &[u8] = match self.pages.get(&first) {
-                Some(p) => &p.data[..],
-                None => {
-                    let b = (addr as usize) & !(PAGE_BYTES - 1);
-                    &base.data[b..(b + PAGE_BYTES).min(base.data.len())]
-                }
-            };
-            Ok(match size {
-                1 => buf[a] as u64,
-                2 => u16::from_le_bytes(buf[a..a + 2].try_into().unwrap()) as u64,
-                4 => u32::from_le_bytes(buf[a..a + 4].try_into().unwrap()) as u64,
-                8 => u64::from_le_bytes(buf[a..a + 8].try_into().unwrap()),
-                _ => unreachable!("unsupported access size {size}"),
-            })
-        } else {
-            let mut v = 0u64;
-            for i in 0..size as u64 {
-                v |= (self.byte_at(base, addr + i) as u64) << (8 * i);
+        let a = (addr & PAGE_MASK) as usize;
+        let buf: &[u8] = match self.pages.get(&(addr >> PAGE_SHIFT)) {
+            Some(p) => &p.data[..],
+            None => {
+                let b = (addr as usize) & !(PAGE_BYTES - 1);
+                &base.data[b..(b + PAGE_BYTES).min(base.data.len())]
             }
-            Ok(v)
-        }
+        };
+        Ok(match size {
+            1 => buf[a] as u64,
+            2 => u16::from_le_bytes(buf[a..a + 2].try_into().unwrap()) as u64,
+            4 => u32::from_le_bytes(buf[a..a + 4].try_into().unwrap()) as u64,
+            8 => u64::from_le_bytes(buf[a..a + 8].try_into().unwrap()),
+            _ => unreachable!("unsupported access size {size}"),
+        })
     }
 
     fn page_mut(&mut self, base: &GlobalMemory, page: u64) -> &mut OverlayPage {
         self.pages.entry(page).or_insert_with(|| {
             let start = (page << PAGE_SHIFT) as usize;
             let end = (start + PAGE_BYTES).min(base.data.len());
-            let mut data = Box::new([0u8; PAGE_BYTES]);
+            let mut data = [0u8; PAGE_BYTES];
             data[..end - start].copy_from_slice(&base.data[start..end]);
             OverlayPage {
                 data,
-                dirty: Box::new([0u64; DIRTY_WORDS]),
+                dirty: [0u64; DIRTY_WORDS],
             }
         })
     }
@@ -371,24 +359,13 @@ impl WriteOverlay {
     ) -> Result<(), FaultKind> {
         check_aligned(Space::Global, addr, size)?;
         base.check(addr, size)?;
-        let bytes = value.to_le_bytes();
-        let first = addr >> PAGE_SHIFT;
-        let last = (addr + size as u64 - 1) >> PAGE_SHIFT;
-        if first == last {
-            let p = self.page_mut(base, first);
-            let a = (addr & PAGE_MASK) as usize;
-            p.data[a..a + size as usize].copy_from_slice(&bytes[..size as usize]);
-            for i in a..a + size as usize {
-                p.dirty[i >> 6] |= 1u64 << (i & 63);
-            }
-        } else {
-            for (i, &b) in bytes[..size as usize].iter().enumerate() {
-                let a = addr + i as u64;
-                let p = self.page_mut(base, a >> PAGE_SHIFT);
-                let o = (a & PAGE_MASK) as usize;
-                p.data[o] = b;
-                p.dirty[o >> 6] |= 1u64 << (o & 63);
-            }
+        // Aligned, so the write lies inside one page.
+        let p = self.page_mut(base, addr >> PAGE_SHIFT);
+        let a = (addr & PAGE_MASK) as usize;
+        let n = size as usize;
+        p.data[a..a + n].copy_from_slice(&value.to_le_bytes()[..n]);
+        for i in a..a + n {
+            p.dirty[i >> 6] |= 1u64 << (i & 63);
         }
         Ok(())
     }
@@ -528,5 +505,98 @@ mod tests {
         assert_eq!(m.read_i32_slice(p, 2).unwrap(), vec![-7, 8]);
         m.write_u32_slice(p, &[0xffff_ffff]).unwrap();
         assert_eq!(m.read_u32_slice(p, 1).unwrap(), vec![0xffff_ffff]);
+    }
+
+    /// A memory with one allocation spanning several overlay pages, and
+    /// the address of a page boundary inside it.
+    fn paged_memory() -> (GlobalMemory, u64) {
+        let mut m = GlobalMemory::new(1 << 16);
+        let p = m.alloc(8 * PAGE_BYTES as u64).unwrap();
+        for i in 0..8 * PAGE_BYTES as u64 {
+            m.write(p.0 + i, 1, i & 0xff).unwrap();
+        }
+        (m, (p.0 + 4 * PAGE_BYTES as u64) & !PAGE_MASK)
+    }
+
+    #[test]
+    fn overlay_writes_meet_at_a_page_boundary() {
+        let (base, edge) = paged_memory();
+        let mut o = WriteOverlay::new();
+        // Multi-byte writes on both sides of the boundary, touching it.
+        o.write(&base, edge - 8, 8, 0x1122_3344_5566_7788).unwrap();
+        o.write(&base, edge, 4, 0xaabb_ccdd).unwrap();
+        o.write(&base, edge + 4, 2, 0xeeff).unwrap();
+        assert_eq!(o.page_count(), 2);
+        assert_eq!(o.read(&base, edge - 8, 8).unwrap(), 0x1122_3344_5566_7788);
+        assert_eq!(
+            o.read(&base, edge, 8).unwrap() & 0xffff_ffff_ffff,
+            0xeeff_aabb_ccdd
+        );
+        // A read across the boundary is misaligned, never a torn read.
+        assert!(matches!(
+            o.read(&base, edge - 2, 4),
+            Err(FaultKind::Misaligned { .. })
+        ));
+        assert!(o.write(&base, edge - 4, 8, 0).is_err());
+        assert_eq!(o.page_count(), 2, "a faulting write copies nothing");
+        // Unwritten bytes of a copied page still read the snapshot.
+        let untouched = edge + 6;
+        assert_eq!(
+            o.read(&base, untouched, 1).unwrap(),
+            base.read(untouched, 1).unwrap()
+        );
+        let mut target = base.clone();
+        assert_eq!(o.commit(&mut target), 14);
+        assert_eq!(target.read(edge - 8, 8).unwrap(), 0x1122_3344_5566_7788);
+        assert_eq!(target.read(edge, 4).unwrap(), 0xaabb_ccdd);
+        assert_eq!(target.read(edge + 4, 2).unwrap(), 0xeeff);
+        assert_eq!(
+            target.read(untouched, 2).unwrap(),
+            base.read(untouched, 2).unwrap()
+        );
+    }
+
+    #[test]
+    fn highest_index_writer_wins_across_a_page_boundary() {
+        let (base, edge) = paged_memory();
+        // Block 0 writes 32 bytes straddling the boundary; block 1 writes
+        // the middle 16 of them plus bytes block 0 never touched.
+        let mut b0 = WriteOverlay::new();
+        for a in (edge - 16..edge + 16).step_by(8) {
+            b0.write(&base, a, 8, 0x0000_0000_0000_0000).unwrap();
+        }
+        let mut b1 = WriteOverlay::new();
+        for a in (edge - 8..edge + 24).step_by(4) {
+            b1.write(&base, a, 4, 0x1111_1111).unwrap();
+        }
+        let mut target = base.clone();
+        b0.commit(&mut target);
+        b1.commit(&mut target);
+        for a in edge - 16..edge + 24 {
+            let want = if a < edge - 8 { 0x00 } else { 0x11 };
+            assert_eq!(target.read(a, 1).unwrap(), want, "byte {a:#x}");
+        }
+        assert_eq!(
+            target.read(edge + 24, 1).unwrap(),
+            base.read(edge + 24, 1).unwrap()
+        );
+    }
+
+    #[test]
+    fn strided_writer_copies_only_the_lines_it_writes() {
+        // 16 rows of 64 bytes at a 4 KiB pitch, like one tile of a
+        // transpose: the overlay holds one line per row, not one 4 KiB
+        // page per row.
+        let mut base = GlobalMemory::new(1 << 20);
+        let p = base.alloc(16 * 4096).unwrap();
+        let mut o = WriteOverlay::new();
+        for row in 0..16u64 {
+            for col in (0..64u64).step_by(4) {
+                o.write(&base, p.0 + row * 4096 + col, 4, row).unwrap();
+            }
+        }
+        assert!(o.page_count() <= 16, "{} pages", o.page_count());
+        assert!(o.page_count() * PAGE_BYTES <= 2 * 16 * 64);
+        assert_eq!(o.commit(&mut base), 16 * 64);
     }
 }
