@@ -6,13 +6,13 @@
 //! ```
 //!
 //! Times every campaign benchmark (GTX480, CUDA, quick scale) under each
-//! simulator execution tier — interpreter, pre-decoded, fused — and
-//! prints the speedup matrix. With `--augment`, the matrix is written
+//! simulator execution tier — interpreter and decoded — and prints the
+//! speedup matrix. With `--augment`, the matrix is written
 //! into an existing `BENCH_*.json` report's `sim_speed` field (schema
 //! v4) so the CI gate checks it; with `--out`, a standalone JSON file
 //! with just the matrix is written.
 //!
-//! Exits non-zero if the fused tier is slower than the interpreter on
+//! Exits non-zero if the decoded tier is slower than the interpreter on
 //! any benchmark — a compiled hot path that loses to instruction-at-a-
 //! time interpretation is a regression, not a measurement.
 
@@ -29,7 +29,6 @@ fn matrix_json(rows: &[SimSpeed]) -> Json {
                     ("bench", s.bench.as_str().into()),
                     ("interp_ns", s.interp_ns.into()),
                     ("decoded_ns", s.decoded_ns.into()),
-                    ("fused_ns", s.fused_ns.into()),
                 ])
             })
             .collect(),
@@ -84,19 +83,19 @@ fn main() -> ExitCode {
         }
     }
 
-    let slow: Vec<&SimSpeed> = rows.iter().filter(|s| s.fused_ns > s.interp_ns).collect();
+    let slow: Vec<&SimSpeed> = rows.iter().filter(|s| s.decoded_ns > s.interp_ns).collect();
     if slow.is_empty() {
         println!(
-            "sim_speed: PASS — fused tier no slower than the interpreter on all {} benchmarks",
+            "sim_speed: PASS — decoded tier no slower than the interpreter on all {} benchmarks",
             rows.len()
         );
         ExitCode::SUCCESS
     } else {
         for s in &slow {
             eprintln!(
-                "sim_speed: FAIL — {}: fused {:.3} ms > interp {:.3} ms",
+                "sim_speed: FAIL — {}: decoded {:.3} ms > interp {:.3} ms",
                 s.bench,
-                s.fused_ns as f64 / 1e6,
+                s.decoded_ns as f64 / 1e6,
                 s.interp_ns as f64 / 1e6
             );
         }

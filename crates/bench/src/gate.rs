@@ -23,7 +23,7 @@
 //!   1 — Figs. 1/2);
 //! - every run carries a populated hardware-counter set;
 //! - when the report carries a tier speed matrix (`sim_speed`, schema
-//!   v4), the fused execution tier is no slower than the interpreter on
+//!   v4), the decoded execution tier is no slower than the interpreter on
 //!   every benchmark.
 //!
 //! # Fault-skipped runs vs regressions
@@ -242,15 +242,15 @@ pub fn check_with_cache_floor(report: &BenchReport, min_cache_hits: Option<usize
         }
     }
 
-    // Schema v4: when the report carries a tier speed matrix, the fused
+    // Schema v4: when the report carries a tier speed matrix, the decoded
     // tier must not lose to the interpreter anywhere — that would mean
     // the compiled hot path regressed into pure overhead.
     for s in &report.sim_speed {
-        if s.fused_ns > s.interp_ns {
+        if s.decoded_ns > s.interp_ns {
             res.errors.push(format!(
-                "{}: fused tier slower than interpreter ({:.3} ms vs {:.3} ms)",
+                "{}: decoded tier slower than interpreter ({:.3} ms vs {:.3} ms)",
                 s.bench,
-                s.fused_ns as f64 / 1e6,
+                s.decoded_ns as f64 / 1e6,
                 s.interp_ns as f64 / 1e6
             ));
         }
@@ -472,20 +472,18 @@ mod tests {
     }
 
     #[test]
-    fn a_slow_fused_tier_fails_the_gate() {
+    fn a_slow_decoded_tier_fails_the_gate() {
         let mut r = passing_report();
         r.sim_speed = vec![
             gpucmp_trace::SimSpeed {
                 bench: "MxM".into(),
                 interp_ns: 9_000_000,
                 decoded_ns: 6_000_000,
-                fused_ns: 3_000_000,
             },
             gpucmp_trace::SimSpeed {
                 bench: "BFS".into(),
                 interp_ns: 1_000_000,
-                decoded_ns: 900_000,
-                fused_ns: 1_500_000,
+                decoded_ns: 1_500_000,
             },
         ];
         let res = check(&r);
@@ -493,9 +491,9 @@ mod tests {
         assert!(res
             .errors
             .iter()
-            .any(|e| e.contains("BFS: fused tier slower")));
+            .any(|e| e.contains("BFS: decoded tier slower")));
         // Fix the slow row and the gate passes again.
-        r.sim_speed[1].fused_ns = 800_000;
+        r.sim_speed[1].decoded_ns = 800_000;
         assert_eq!(check(&r).exit_code(), 0);
     }
 

@@ -17,8 +17,8 @@ use std::fmt;
 ///
 /// `GPUCMP_SIM_THREADS=N` simulates thread blocks on `N` host workers
 /// (`0` = one per available core). Unset or unparsable means serial.
-/// `GPUCMP_SIM_TIER={interp,decoded,fused}` selects the execution tier
-/// (default: fused). Both are purely host-side speed knobs: every
+/// `GPUCMP_SIM_TIER={interp,decoded}` selects the execution tier
+/// (default: decoded; unknown values fall back to it). Both are purely host-side speed knobs: every
 /// reported number is bit-identical for every setting.
 pub fn exec_options_from_env() -> ExecOptions {
     std::env::var("GPUCMP_SIM_THREADS")

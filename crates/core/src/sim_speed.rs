@@ -1,7 +1,7 @@
 //! Host-side wall-clock of the simulator's execution tiers.
 //!
 //! Runs every campaign benchmark on the GTX480/CUDA cell under each
-//! execution tier (interpreter, pre-decoded, fused) and records how long
+//! execution tier (interpreter, decoded) and records how long
 //! the *host* took to simulate it, via the per-launch
 //! [`gpucmp_sim::ExecProfile`] counters (execution + merge time only, so
 //! host-side input generation and verification don't pollute the
@@ -24,7 +24,7 @@ use gpucmp_trace::SimSpeed;
 pub const SIM_SPEED_REPS: u32 = 5;
 
 /// Extra measurement rounds granted to rows whose first round came out
-/// inverted (fused no faster than interp). Each round folds more samples
+/// inverted (decoded no faster than interp). Each round folds more samples
 /// into the per-tier minimum, which converges on the true cost as
 /// transient host noise is discarded; a tier that is *genuinely* slower
 /// stays slower no matter how many samples are taken.
@@ -39,14 +39,14 @@ fn one_run(bench: &dyn Benchmark, gpu: &mut Cuda) -> u64 {
     p.host_exec_ns + p.host_merge_ns - before
 }
 
-/// Host execution+merge time of one benchmark under all three tiers, ns
-/// (min over `reps` runs per tier). The tiers are *interleaved* within
-/// each rep — interp, decoded, fused, interp, decoded, fused, … — so an
+/// Host execution+merge time of one benchmark under both tiers, ns (min
+/// over `reps` runs per tier). The tiers are *interleaved* within each
+/// rep — interp, decoded, interp, decoded, … — so an
 /// ambient host slowdown lands on every tier of the affected rep instead
 /// of biasing whichever tier happened to be measured during it; the
 /// min-of-reps then discards the slow reps for all tiers alike.
-fn time_bench(bench: &dyn Benchmark, device: &DeviceSpec, reps: u32) -> [u64; 3] {
-    let tiers = [ExecTier::Interp, ExecTier::Decoded, ExecTier::Fused];
+fn time_bench(bench: &dyn Benchmark, device: &DeviceSpec, reps: u32) -> [u64; 2] {
+    let tiers = [ExecTier::Interp, ExecTier::Decoded];
     let mut gpus: Vec<Cuda> = tiers
         .iter()
         .map(|&tier| {
@@ -55,7 +55,7 @@ fn time_bench(bench: &dyn Benchmark, device: &DeviceSpec, reps: u32) -> [u64; 3]
             gpu
         })
         .collect();
-    let mut best = [u64::MAX; 3];
+    let mut best = [u64::MAX; 2];
     for _ in 0..reps.max(1) {
         for (i, gpu) in gpus.iter_mut().enumerate() {
             best[i] = best[i].min(one_run(bench, gpu));
@@ -65,7 +65,7 @@ fn time_bench(bench: &dyn Benchmark, device: &DeviceSpec, reps: u32) -> [u64; 3]
 }
 
 /// Measure the tier speed matrix: every campaign benchmark at `scale`,
-/// GTX480 through CUDA, all three tiers, [`SIM_SPEED_REPS`] reps each.
+/// GTX480 through CUDA, both tiers, [`SIM_SPEED_REPS`] reps each.
 /// Rows come back in campaign registry order.
 pub fn measure_sim_speed(scale: Scale) -> Vec<SimSpeed> {
     let device = DeviceSpec::gtx480();
@@ -77,7 +77,7 @@ pub fn measure_sim_speed(scale: Scale) -> Vec<SimSpeed> {
             // The per-tier minima only ever tighten, so a clean first
             // round is never revisited and a real inversion survives.
             for _ in 0..SIM_SPEED_RETRIES {
-                if best[2] < best[0] {
+                if best[1] < best[0] {
                     break;
                 }
                 let again = time_bench(bench.as_ref(), &device, SIM_SPEED_REPS);
@@ -85,12 +85,11 @@ pub fn measure_sim_speed(scale: Scale) -> Vec<SimSpeed> {
                     *b = (*b).min(a);
                 }
             }
-            let [interp_ns, decoded_ns, fused_ns] = best;
+            let [interp_ns, decoded_ns] = best;
             SimSpeed {
                 bench: bench.name().to_string(),
                 interp_ns,
                 decoded_ns,
-                fused_ns,
             }
         })
         .collect()
@@ -102,19 +101,17 @@ pub fn sim_speed_table(rows: &[SimSpeed]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<14} {:>12} {:>12} {:>12} {:>9} {:>9}",
-        "Benchmark", "interp (ms)", "decoded (ms)", "fused (ms)", "dec x", "fused x"
+        "{:<14} {:>12} {:>12} {:>9}",
+        "Benchmark", "interp (ms)", "decoded (ms)", "dec x"
     );
     for r in rows {
         let _ = writeln!(
             out,
-            "{:<14} {:>12.3} {:>12.3} {:>12.3} {:>8.2}x {:>8.2}x",
+            "{:<14} {:>12.3} {:>12.3} {:>8.2}x",
             r.bench,
             r.interp_ns as f64 / 1e6,
             r.decoded_ns as f64 / 1e6,
-            r.fused_ns as f64 / 1e6,
             r.decoded_speedup(),
-            r.fused_speedup(),
         );
     }
     out

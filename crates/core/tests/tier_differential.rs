@@ -1,6 +1,6 @@
 //! Differential tests of the execution tiers over the full benchmark
-//! suite: the interpreter, the pre-decoded tier, and the fused tier must
-//! produce bit-identical run outputs — metric values, virtual times,
+//! suite: the interpreter and the warp-wide decoded tier must produce
+//! bit-identical run outputs — metric values, virtual times,
 //! merged counters — at any host thread count, under seeded fault
 //! injection, and with the memcheck sanitizer on. These are the
 //! campaign-level teeth of the per-kernel parity tests in
@@ -11,7 +11,7 @@ use gpucmp_core::experiments::run_cuda_with_exec;
 use gpucmp_runtime::{Cuda, FaultPlan, Gpu, SessionEvent};
 use gpucmp_sim::{DeviceSpec, ExecOptions, ExecStats, ExecTier};
 
-const TIERS: [ExecTier; 3] = [ExecTier::Interp, ExecTier::Decoded, ExecTier::Fused];
+const TIERS: [ExecTier; 2] = [ExecTier::Interp, ExecTier::Decoded];
 
 fn all_benches() -> Vec<Box<dyn Benchmark>> {
     let mut v = gpucmp_benchmarks::real_world(Scale::Quick);
@@ -97,21 +97,17 @@ fn fault_injection_outcomes_are_tier_invariant() {
             let case = format!("{}/GTX480/CUDA", bench.name());
             let plan = FaultPlan::for_case(seed, &case, 0);
             let base = faulted_outcome(bench.as_ref(), &device, &plan, ExecTier::Interp);
-            for tier in [ExecTier::Decoded, ExecTier::Fused] {
-                let got = faulted_outcome(bench.as_ref(), &device, &plan, tier);
-                assert_eq!(
-                    got,
-                    base,
-                    "{case} seed {seed}: {} tier disagrees with the interpreter",
-                    tier.name()
-                );
-            }
+            let got = faulted_outcome(bench.as_ref(), &device, &plan, ExecTier::Decoded);
+            assert_eq!(
+                got, base,
+                "{case} seed {seed}: decoded tier disagrees with the interpreter"
+            );
         }
     }
 }
 
 /// The memcheck sanitizer changes the dispatch path (faults are recorded
-/// instead of aborting); every tier must walk it identically, down to
+/// instead of aborting); both tiers must walk it identically, down to
 /// the recorded fault events on the virtual timeline.
 #[test]
 fn memcheck_runs_are_tier_invariant() {
@@ -134,14 +130,11 @@ fn memcheck_runs_are_tier_invariant() {
             (fingerprint(&out), faults)
         };
         let base = run_tier(ExecTier::Interp);
-        for tier in [ExecTier::Decoded, ExecTier::Fused] {
-            assert_eq!(
-                run_tier(tier),
-                base,
-                "{} memcheck run diverged under {}",
-                bench.name(),
-                tier.name()
-            );
-        }
+        assert_eq!(
+            run_tier(ExecTier::Decoded),
+            base,
+            "{} memcheck run diverged under decoded",
+            bench.name()
+        );
     }
 }

@@ -7,10 +7,10 @@
 //! | axis        | runs compared against REF                   | equality |
 //! |-------------|---------------------------------------------|----------|
 //! | sim threads | cuda/interp/8 threads                       | full     |
-//! | exec tier   | cuda/decoded/1t, cuda/fused/1t, cuda/fused/8t | full   |
+//! | exec tier   | cuda/decoded/1t, cuda/decoded/8t            | full     |
 //! | front-end   | ocl/interp/1t (OREF)                        | memory bit-equal when both complete; fault *kind* when both fault |
-//! | front-end×tier | ocl/fused/8t vs OREF                     | full     |
-//! | memcheck    | cuda/interp/1t+mc vs cuda/fused/8t+mc       | full + recorded fault list |
+//! | front-end×tier | ocl/decoded/8t vs OREF                   | full     |
+//! | memcheck    | cuda/interp/1t+mc vs cuda/decoded/8t+mc     | full + recorded fault list |
 //! | device      | gtx280/hd5870/intel920/cellbe, cuda/interp/1t | memory when Ok; fault kind when faulting |
 //!
 //! "Full" equality = bit-equal buffer contents, `ExecStats` equal, and
@@ -47,15 +47,15 @@ const GMEM_SLACK: u64 = 64 * 1024;
 /// replayed (the acceptance criterion's "injected tier-divergence").
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MutateMode {
-    /// Flip the low bit of byte 0 of buffer 0 in the cuda/fused/8-thread
-    /// snapshot — a synthetic fused-tier miscompile.
+    /// Flip the low bit of byte 0 of buffer 0 in the cuda/decoded/8-thread
+    /// snapshot — a synthetic decoded-tier miscompile.
     TierXor,
 }
 
 /// One divergence between two runs that must agree.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Divergence {
-    /// Which comparison failed, e.g. `tier:cuda/fused/8t`. The reducer's
+    /// Which comparison failed, e.g. `tier:cuda/decoded/8t`. The reducer's
     /// predicate keys on this string staying the same while shrinking.
     pub axis: String,
     /// Human-readable detail of the first difference.
@@ -128,15 +128,14 @@ impl Oracle {
         let reference = run(case, &cuda, &gtx480, RunCfg::new(ExecTier::Interp, 1))?;
 
         // --- sim-thread and tier axes (full equality) -------------------
-        let full_axes: [(&str, RunCfg); 4] = [
+        let full_axes: [(&str, RunCfg); 3] = [
             ("threads:cuda/interp/8t", RunCfg::new(ExecTier::Interp, 8)),
             ("tier:cuda/decoded/1t", RunCfg::new(ExecTier::Decoded, 1)),
-            ("tier:cuda/fused/1t", RunCfg::new(ExecTier::Fused, 1)),
-            ("tier:cuda/fused/8t", RunCfg::new(ExecTier::Fused, 8)),
+            ("tier:cuda/decoded/8t", RunCfg::new(ExecTier::Decoded, 8)),
         ];
         for (axis, cfg) in full_axes {
             let mut snap = run(case, &cuda, &gtx480, cfg)?;
-            if self.mutate == Some(MutateMode::TierXor) && axis == "tier:cuda/fused/8t" {
+            if self.mutate == Some(MutateMode::TierXor) && axis == "tier:cuda/decoded/8t" {
                 if let Some(b) = snap.mems.first_mut().and_then(|m| m.first_mut()) {
                     *b ^= 1;
                 }
@@ -153,15 +152,15 @@ impl Oracle {
         }
         // The OpenCL build must itself be tier/thread-stable (full equality
         // against its own reference).
-        let osnap = run(case, &ocl, &gtx480, RunCfg::new(ExecTier::Fused, 8))?;
-        if let Some(d) = compare_full("tier:ocl/fused/8t", &oref, &osnap) {
+        let osnap = run(case, &ocl, &gtx480, RunCfg::new(ExecTier::Decoded, 8))?;
+        if let Some(d) = compare_full("tier:ocl/decoded/8t", &oref, &osnap) {
             return Ok(Some(d));
         }
 
         // --- memcheck axis ----------------------------------------------
         let mc_ref = run(case, &cuda, &gtx480, RunCfg::new(ExecTier::Interp, 1).mc())?;
-        let mc_fused = run(case, &cuda, &gtx480, RunCfg::new(ExecTier::Fused, 8).mc())?;
-        if let Some(d) = compare_full("memcheck:cuda/fused/8t", &mc_ref, &mc_fused) {
+        let mc_decoded = run(case, &cuda, &gtx480, RunCfg::new(ExecTier::Decoded, 8).mc())?;
+        if let Some(d) = compare_full("memcheck:cuda/decoded/8t", &mc_ref, &mc_decoded) {
             return Ok(Some(d));
         }
 
@@ -388,6 +387,6 @@ mod tests {
         let case = generate(case_seed(8, 0));
         let verdict = oracle.check(&case).expect("oracle should run");
         let d = verdict.expect("mutation must be detected");
-        assert_eq!(d.axis, "tier:cuda/fused/8t");
+        assert_eq!(d.axis, "tier:cuda/decoded/8t");
     }
 }

@@ -10,7 +10,7 @@
 //! case and restarts the round. Rounds repeat until a fixpoint or the
 //! oracle-check budget runs out.
 //!
-//! Keying the predicate on the axis string (e.g. `tier:cuda/fused/8t`)
+//! Keying the predicate on the axis string (e.g. `tier:cuda/decoded/8t`)
 //! keeps the reducer from "wandering": a shrink that trades the original
 //! mismatch for a different one is rejected.
 

@@ -138,7 +138,7 @@ mod tests {
                 minimized,
                 ..
             } => {
-                assert_eq!(divergence.axis, "tier:cuda/fused/8t");
+                assert_eq!(divergence.axis, "tier:cuda/decoded/8t");
                 let path = written.expect("repro written");
                 // The written reproducer replays to the same axis.
                 let replayed = replay_file(&oracle, &path)

@@ -15,7 +15,7 @@ fn corpus_dir() -> PathBuf {
 fn every_corpus_case_replays_clean() {
     let files = corpus_files(&corpus_dir());
     assert!(
-        files.len() >= 8,
+        files.len() >= 10,
         "corpus shrank to {} file(s) — the hand-written edge cases are missing",
         files.len()
     );
@@ -55,6 +55,8 @@ fn corpus_cases_have_their_documented_outcomes() {
         ("atomic-histogram.kdsl", |o| o.is_ok()),
         ("downward-unroll.kdsl", |o| o.is_ok()),
         ("select-shr-signed.kdsl", |o| o.is_ok()),
+        ("nan-sign-lane.kdsl", |o| o.is_ok()),
+        ("nan-sign-warp-width.kdsl", |o| o.is_ok()),
     ];
     for (file, outcome_ok) in expect {
         let path = corpus_dir().join(file);

@@ -32,7 +32,7 @@ fn deterministic_smoke_campaign_is_clean() {
     }
 }
 
-/// End-to-end mutation acceptance: an injected fused-tier bit flip is
+/// End-to-end mutation acceptance: an injected decoded-tier bit flip is
 /// caught, minimized to a handful of statements, and the minimized case
 /// round-trips through the `.kdsl` serializer to the same divergence.
 #[test]
@@ -47,7 +47,7 @@ fn injected_tier_divergence_is_caught_minimized_and_replayable() {
     else {
         panic!("mutated oracle failed to flag a divergence: {outcome:?}");
     };
-    assert_eq!(divergence.axis, "tier:cuda/fused/8t");
+    assert_eq!(divergence.axis, "tier:cuda/decoded/8t");
     assert!(
         minimized.stmt_count() <= 10,
         "reducer left {} statements",

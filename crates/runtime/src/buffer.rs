@@ -1,11 +1,10 @@
 //! Typed device buffers and the sealed scalar-transfer trait.
 //!
 //! [`DeviceScalar`] describes the host types that can cross the PCIe bus
-//! as little-endian device scalars; it replaces the per-type
-//! `h2d_f32`/`d2h_u32`-style method family with one generic pair
-//! ([`crate::GpuExt::h2d_t`] / [`crate::GpuExt::d2h_t`]). [`Buffer`]
-//! carries the element type and count alongside the raw [`DevPtr`], so
-//! call sites stop hand-multiplying byte sizes.
+//! as little-endian device scalars, so one generic pair
+//! ([`crate::GpuExt::h2d_t`] / [`crate::GpuExt::d2h_t`]) moves them all.
+//! [`Buffer`] carries the element type and count alongside the raw
+//! [`DevPtr`], so call sites stop hand-multiplying byte sizes.
 
 use gpucmp_sim::DevPtr;
 use std::borrow::Cow;

@@ -233,7 +233,7 @@ impl Session {
     ///
     /// The memcheck sanitizer starts on if the `GPUCMP_MEMCHECK`
     /// environment variable is set to anything but `0`/`false`, and the
-    /// execution tier comes from `GPUCMP_SIM_TIER` (default: fused).
+    /// execution tier comes from `GPUCMP_SIM_TIER` (default: decoded).
     pub fn new(device: DeviceSpec) -> Self {
         Session::with_arena(device, DEFAULT_ARENA_BYTES)
     }
@@ -658,7 +658,7 @@ impl Session {
     }
 
     /// Kernel decodes performed so far (code-cache misses), cumulative
-    /// across resets. On the decoded and fused tiers this stays at one per
+    /// across resets. On the decoded tier this stays at one per
     /// *distinct* kernel per context generation however many times it is
     /// rebuilt or launched; the interp tier never decodes.
     pub fn decode_count(&self) -> u64 {
@@ -918,42 +918,6 @@ pub trait Gpu {
     /// Events recorded since tracing was turned on.
     fn trace_events(&self) -> &[SessionEvent] {
         self.session().trace_events()
-    }
-
-    /// Deprecated alias for [`GpuExt::h2d_t`].
-    #[deprecated(since = "0.2.0", note = "use the generic `h2d_t`")]
-    fn h2d_f32(&mut self, ptr: DevPtr, data: &[f32]) -> Result<(), RtError> {
-        self.h2d_t(ptr, data)
-    }
-
-    /// Deprecated alias for [`GpuExt::d2h_t`].
-    #[deprecated(since = "0.2.0", note = "use the generic `d2h_t`")]
-    fn d2h_f32(&mut self, ptr: DevPtr, len: usize) -> Result<Vec<f32>, RtError> {
-        self.d2h_t(ptr, len)
-    }
-
-    /// Deprecated alias for [`GpuExt::h2d_t`].
-    #[deprecated(since = "0.2.0", note = "use the generic `h2d_t`")]
-    fn h2d_u32(&mut self, ptr: DevPtr, data: &[u32]) -> Result<(), RtError> {
-        self.h2d_t(ptr, data)
-    }
-
-    /// Deprecated alias for [`GpuExt::d2h_t`].
-    #[deprecated(since = "0.2.0", note = "use the generic `d2h_t`")]
-    fn d2h_u32(&mut self, ptr: DevPtr, len: usize) -> Result<Vec<u32>, RtError> {
-        self.d2h_t(ptr, len)
-    }
-
-    /// Deprecated alias for [`GpuExt::h2d_t`].
-    #[deprecated(since = "0.2.0", note = "use the generic `h2d_t`")]
-    fn h2d_i32(&mut self, ptr: DevPtr, data: &[i32]) -> Result<(), RtError> {
-        self.h2d_t(ptr, data)
-    }
-
-    /// Deprecated alias for [`GpuExt::d2h_t`].
-    #[deprecated(since = "0.2.0", note = "use the generic `d2h_t`")]
-    fn d2h_i32(&mut self, ptr: DevPtr, len: usize) -> Result<Vec<i32>, RtError> {
-        self.d2h_t(ptr, len)
     }
 
     /// Build a kernel through this API's front-end and load it.

@@ -21,7 +21,7 @@ fn fill_kernel(name: &str, value: f32) -> KernelDef {
 #[test]
 fn one_decode_per_distinct_kernel_per_session() {
     let mut gpu = Cuda::new(DeviceSpec::gtx480()).unwrap();
-    gpu.set_exec_options(ExecOptions::serial().tier(ExecTier::Fused));
+    gpu.set_exec_options(ExecOptions::serial().tier(ExecTier::Decoded));
     let buf = gpu.alloc::<f32>(256).unwrap();
     let cfg = LaunchConfig::new(2u32, 128u32).arg_ptr(buf).arg_i32(256);
 
@@ -48,7 +48,7 @@ fn one_decode_per_distinct_kernel_per_session() {
 #[test]
 fn context_reset_evicts_code_cache() {
     let mut gpu = Cuda::new(DeviceSpec::gtx480()).unwrap();
-    gpu.set_exec_options(ExecOptions::serial().tier(ExecTier::Fused));
+    gpu.set_exec_options(ExecOptions::serial().tier(ExecTier::Decoded));
     let h = gpu.build(&fill_kernel("fill", 2.0)).unwrap();
     let buf = gpu.alloc::<f32>(64).unwrap();
     let cfg = LaunchConfig::new(1u32, 64u32).arg_ptr(buf).arg_i32(64);

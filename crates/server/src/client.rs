@@ -1,6 +1,7 @@
 //! The client: a blocking connection plus deadline-aware retry.
 //!
-//! The retry loop only ever retries [`ErrorKind::Busy`] — the one error
+//! The retry loop only ever retries
+//! [`ErrorKind::Busy`](crate::protocol::ErrorKind::Busy) — the one error
 //! class where waiting can help (a slot may free up). Quota violations,
 //! lost contexts and bad requests are returned immediately: retrying
 //! them without changing anything cannot succeed, and hammering a

@@ -1,7 +1,7 @@
 //! The multi-tenant session service: protocol-level requests in, typed
 //! responses out, independent of any transport.
 //!
-//! One [`SessionService`] owns a [`SlotPool`](crate::pool::SlotPool) and
+//! One [`SessionService`] owns a [`SlotPool`] and
 //! maps wire-level session handles onto pooled slots. All policy lives
 //! here:
 //!

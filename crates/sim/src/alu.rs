@@ -1,17 +1,61 @@
 //! Scalar ALU semantics and raw byte-level memory helpers.
 //!
-//! These are pure free functions shared by every execution tier — the
-//! reference interpreter in [`crate::exec`] and the pre-decoded dispatch
-//! loops in [`crate::dispatch`] — so tier parity of scalar arithmetic holds
-//! by construction. [`dram_traffic`] also lives here because both block
+//! These are pure free functions shared by both execution tiers — the
+//! reference interpreter in [`crate::exec`] and the warp-wide dispatch loop
+//! in [`crate::dispatch`] — so tier parity of scalar arithmetic holds by
+//! construction. [`dram_traffic`] also lives here because both block
 //! interpreters and the merge-time L2 replay charge traffic through it;
 //! every counter it touches is a commutative sum, so per-block accounting
 //! merges exactly.
+//!
+//! **NaN bits are part of bit-identity.** Every float operation that can
+//! produce a NaN (`alu1`/`alu2`/`alu3` on float types, conversions to or
+//! from a float type) runs in exactly one out-of-line body
+//! (`#[inline(never)]`), which both tiers call. Rust does not pin the
+//! payload or sign of a NaN result: x86 returns the first operand's NaN,
+//! and LLVM may swap the operands of a commutative float op differently in
+//! each inlined copy — in a vectorised lane loop and in its scalar tail,
+//! say — so an inlined float op could make a result depend on lane
+//! position or warp width. Integer bodies produce no NaNs and are
+//! `#[inline(always)]`, so warp-wide loops can specialise them.
 
 use crate::device::DeviceSpec;
 use crate::error::FaultKind;
 use crate::stats::ExecStats;
 use gpucmp_ptx::{CmpOp, Op1, Op2, Op3, Space, Ty};
+
+/// Run `$body` with `$c` bound to a constant equal to the runtime value
+/// `$v` of enum `$e`, one arm per listed variant; any other value runs
+/// `$other`.
+macro_rules! with_const {
+    ($v:expr, $c:ident: $e:ident [$($var:ident)+] => $body:expr $(, _ => $other:expr)?) => {
+        match $v {
+            $(gpucmp_ptx::$e::$var => {
+                const $c: gpucmp_ptx::$e = gpucmp_ptx::$e::$var;
+                $body
+            })+
+            $(_ => $other,)?
+        }
+    };
+}
+
+/// Run `$body` with `$t` bound to a constant equal to the runtime type
+/// `$ty`. A lane loop over an `#[inline(always)]` body (an integer ALU op,
+/// `load_extend`, a sized memory access) then compiles without a per-lane
+/// dispatch on the type.
+macro_rules! with_ty {
+    ($ty:expr, $t:ident => $body:expr) => {
+        crate::alu::with_const!($ty, $t: Ty [Pred B8 B16 B32 B64 S32 S64 U32 U64 F32 F64] => $body)
+    };
+}
+
+/// [`with_ty!`] for a comparison operator.
+macro_rules! with_cmp {
+    ($cmp:expr, $c:ident => $body:expr) => {
+        crate::alu::with_const!($cmp, $c: CmpOp [Eq Ne Lt Le Gt Ge] => $body)
+    };
+}
+pub(crate) use {with_cmp, with_const, with_ty};
 
 /// Account DRAM traffic, including the per-partition striping that
 /// produces GT200's partition-camping behaviour.
@@ -70,6 +114,7 @@ pub(crate) fn float_bits(ty: Ty, v: f64) -> u64 {
 }
 
 /// Zero/sign-extend a freshly loaded value of type `ty` into a register.
+#[inline(always)]
 pub(crate) fn load_extend(v: u64, ty: Ty) -> u64 {
     match ty {
         Ty::B8 => v & 0xff,
@@ -80,7 +125,18 @@ pub(crate) fn load_extend(v: u64, ty: Ty) -> u64 {
     }
 }
 
+/// Unary ALU op on raw register bits.
 pub(crate) fn alu1(op: Op1, ty: Ty, v: u64) -> u64 {
+    if ty.is_float() {
+        alu1_float(op, ty, v)
+    } else {
+        alu1_int(op, ty, v)
+    }
+}
+
+/// [`alu1`] on a float type: the one out-of-line body (see module docs).
+#[inline(never)]
+pub(crate) fn alu1_float(op: Op1, ty: Ty, v: u64) -> u64 {
     match ty {
         Ty::F32 => {
             let x = f32b(v);
@@ -112,6 +168,14 @@ pub(crate) fn alu1(op: Op1, ty: Ty, v: u64) -> u64 {
                 Op1::Not => return !v,
             })
         }
+        _ => unreachable!("alu1_float on {ty:?}"),
+    }
+}
+
+/// [`alu1`] on an integer type.
+#[inline(always)]
+pub(crate) fn alu1_int(op: Op1, ty: Ty, v: u64) -> u64 {
+    match ty {
         Ty::S32 | Ty::U32 | Ty::B32 => {
             let x = v as u32;
             (match op {
@@ -130,8 +194,19 @@ pub(crate) fn alu1(op: Op1, ty: Ty, v: u64) -> u64 {
     }
 }
 
+/// Binary ALU op on raw register bits; integer division by zero faults.
 pub(crate) fn alu2(op: Op2, ty: Ty, a: u64, b: u64) -> Result<u64, FaultKind> {
-    Ok(match ty {
+    if ty.is_float() {
+        Ok(alu2_float(op, ty, a, b))
+    } else {
+        alu2_int(op, ty, a, b)
+    }
+}
+
+/// [`alu2`] on a float type: the one out-of-line body (see module docs).
+#[inline(never)]
+fn alu2_float(op: Op2, ty: Ty, a: u64, b: u64) -> u64 {
+    match ty {
         Ty::F32 => {
             let (x, y) = (f32b(a), f32b(b));
             bf32(match op {
@@ -158,6 +233,15 @@ pub(crate) fn alu2(op: Op2, ty: Ty, a: u64, b: u64) -> Result<u64, FaultKind> {
                 _ => return int_logic(op, a, b, 64),
             })
         }
+        _ => unreachable!("alu2_float on {ty:?}"),
+    }
+}
+
+/// [`alu2`] on an integer type. With a constant `op` and `ty` it inlines
+/// to a single expression, which is how the warp-wide loops specialise it.
+#[inline(always)]
+pub(crate) fn alu2_int(op: Op2, ty: Ty, a: u64, b: u64) -> Result<u64, FaultKind> {
+    Ok(match ty {
         Ty::S32 => {
             let (x, y) = (a as u32 as i32, b as u32 as i32);
             (match op {
@@ -186,7 +270,7 @@ pub(crate) fn alu2(op: Op2, ty: Ty, a: u64, b: u64) -> Result<u64, FaultKind> {
                         x >> sh
                     }
                 }
-                _ => return int_logic(op, a & 0xffff_ffff, b, 32),
+                _ => return Ok(int_logic(op, a & 0xffff_ffff, b, 32)),
             }) as u32 as u64
         }
         Ty::U32 | Ty::B32 => {
@@ -209,7 +293,7 @@ pub(crate) fn alu2(op: Op2, ty: Ty, a: u64, b: u64) -> Result<u64, FaultKind> {
                 }
                 Op2::Min => x.min(y),
                 Op2::Max => x.max(y),
-                _ => return int_logic(op, a & 0xffff_ffff, b, 32),
+                _ => return Ok(int_logic(op, a & 0xffff_ffff, b, 32)),
             }) as u64
         }
         Ty::S64 => {
@@ -240,7 +324,7 @@ pub(crate) fn alu2(op: Op2, ty: Ty, a: u64, b: u64) -> Result<u64, FaultKind> {
                         x >> sh
                     }
                 }
-                _ => return int_logic(op, a, b, 64),
+                _ => return Ok(int_logic(op, a, b, 64)),
             }) as u64
         }
         Ty::U64 | Ty::B64 => {
@@ -263,17 +347,17 @@ pub(crate) fn alu2(op: Op2, ty: Ty, a: u64, b: u64) -> Result<u64, FaultKind> {
                 }
                 Op2::Min => x.min(y),
                 Op2::Max => x.max(y),
-                _ => return int_logic(op, a, b, 64),
+                _ => int_logic(op, a, b, 64),
             }
         }
-        Ty::Pred | Ty::B8 | Ty::B16 => {
-            return int_logic(op, a, b, 64);
-        }
+        Ty::Pred | Ty::B8 | Ty::B16 => int_logic(op, a, b, 64),
+        Ty::F32 | Ty::F64 => unreachable!("alu2_int on {ty:?}"),
     })
 }
 
 /// and/or/xor/shl/shr on raw bits of the given width.
-pub(crate) fn int_logic(op: Op2, a: u64, b: u64, width: u32) -> Result<u64, FaultKind> {
+#[inline(always)]
+fn int_logic(op: Op2, a: u64, b: u64, width: u32) -> u64 {
     let mask = if width == 64 {
         u64::MAX
     } else {
@@ -301,10 +385,21 @@ pub(crate) fn int_logic(op: Op2, a: u64, b: u64, width: u32) -> Result<u64, Faul
         }
         _ => unreachable!("int_logic on {op:?}"),
     };
-    Ok(r & mask)
+    r & mask
 }
 
+/// Ternary ALU op (mad/fma) on raw register bits.
 pub(crate) fn alu3(op: Op3, ty: Ty, a: u64, b: u64, c: u64) -> u64 {
+    if ty.is_float() {
+        alu3_float(op, ty, a, b, c)
+    } else {
+        alu3_int(ty, a, b, c)
+    }
+}
+
+/// [`alu3`] on a float type: the one out-of-line body (see module docs).
+#[inline(never)]
+pub(crate) fn alu3_float(op: Op3, ty: Ty, a: u64, b: u64, c: u64) -> u64 {
     match ty {
         Ty::F32 => {
             let (x, y, z) = (f32b(a), f32b(b), f32b(c));
@@ -319,6 +414,14 @@ pub(crate) fn alu3(op: Op3, ty: Ty, a: u64, b: u64, c: u64) -> u64 {
             let (x, y, z) = (f64b(a), f64b(b), f64b(c));
             bf64(x.mul_add(y, z))
         }
+        _ => unreachable!("alu3_float on {ty:?}"),
+    }
+}
+
+/// [`alu3`] on an integer type (mad and fma agree on integers).
+#[inline(always)]
+pub(crate) fn alu3_int(ty: Ty, a: u64, b: u64, c: u64) -> u64 {
+    match ty {
         Ty::S32 | Ty::U32 | Ty::B32 => {
             let r = (a as u32).wrapping_mul(b as u32).wrapping_add(c as u32);
             r as u64
@@ -327,6 +430,8 @@ pub(crate) fn alu3(op: Op3, ty: Ty, a: u64, b: u64, c: u64) -> u64 {
     }
 }
 
+/// `setp` comparison. It yields a flag, never a NaN, so it may inline.
+#[inline(always)]
 pub(crate) fn compare(cmp: CmpOp, ty: Ty, a: u64, b: u64) -> bool {
     match ty {
         Ty::F32 => {
@@ -388,6 +493,24 @@ pub(crate) fn uint_cmp(cmp: CmpOp, x: u64, y: u64) -> bool {
 
 /// Convert raw bits between scalar types with numeric semantics.
 pub(crate) fn convert(v: u64, sty: Ty, dty: Ty) -> u64 {
+    if sty.is_float() || dty.is_float() {
+        convert_float(v, sty, dty)
+    } else {
+        convert_num(v, sty, dty)
+    }
+}
+
+/// [`convert`] to or from a float type: the one out-of-line body (see
+/// module docs).
+#[inline(never)]
+fn convert_float(v: u64, sty: Ty, dty: Ty) -> u64 {
+    convert_num(v, sty, dty)
+}
+
+/// The conversion itself; inlined as is only for integer-to-integer
+/// conversions.
+#[inline(always)]
+pub(crate) fn convert_num(v: u64, sty: Ty, dty: Ty) -> u64 {
     // Decode source to a numeric domain.
     enum Num {
         I(i64),
@@ -455,6 +578,7 @@ pub(crate) fn convert(v: u64, sty: Ty, dty: Ty) -> u64 {
     }
 }
 
+#[inline(always)]
 pub(crate) fn read_bytes(buf: &[u8], addr: u64, size: u32, space: Space) -> Result<u64, FaultKind> {
     crate::mem::check_aligned(space, addr, size)?;
     let a = addr as usize;
@@ -478,6 +602,7 @@ pub(crate) fn read_bytes(buf: &[u8], addr: u64, size: u32, space: Space) -> Resu
     })
 }
 
+#[inline(always)]
 pub(crate) fn write_bytes(
     buf: &mut [u8],
     addr: u64,
@@ -541,9 +666,9 @@ mod alu_tests {
 
     #[test]
     fn shifts_clamp() {
-        assert_eq!(int_logic(Op2::Shl, 1, 40, 32).unwrap(), 0);
-        assert_eq!(int_logic(Op2::Shl, 1, 4, 32).unwrap(), 16);
-        assert_eq!(int_logic(Op2::Shr, 0x8000_0000, 31, 32).unwrap(), 1);
+        assert_eq!(int_logic(Op2::Shl, 1, 40, 32), 0);
+        assert_eq!(int_logic(Op2::Shl, 1, 4, 32), 16);
+        assert_eq!(int_logic(Op2::Shr, 0x8000_0000, 31, 32), 1);
         // arithmetic shift for s32
         assert_eq!(
             alu2(Op2::Shr, Ty::S32, (-8i32) as u32 as u64, 1).unwrap() as u32 as i32,

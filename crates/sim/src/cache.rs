@@ -19,6 +19,8 @@ pub enum CacheAccess {
 pub struct Cache {
     /// Line size in bytes (power of two).
     line: u64,
+    /// `log2(line)`: line addresses are a shift, not a divide.
+    line_shift: u32,
     /// Number of sets (power of two).
     sets: u64,
     /// Ways per set.
@@ -47,6 +49,7 @@ impl Cache {
         let sets = (lines / assoc as u64).max(1).next_power_of_two();
         Cache {
             line,
+            line_shift: line.trailing_zeros(),
             sets,
             assoc,
             tags: vec![u64::MAX; (sets as usize) * assoc],
@@ -67,7 +70,7 @@ impl Cache {
 
     /// Probe + fill for the line containing `addr`.
     pub fn access(&mut self, addr: u64) -> CacheAccess {
-        let line_addr = addr / self.line;
+        let line_addr = addr >> self.line_shift;
         let set = (line_addr & (self.sets - 1)) as usize;
         let base = set * self.assoc;
         let ways = &mut self.tags[base..base + self.assoc];

@@ -4,47 +4,40 @@
 //! [`decode_kernel`] translates a lowered, resolved kernel into a
 //! [`DecodedKernel`]: a dense instruction array with no `Label`
 //! pseudo-instructions, branch targets pre-resolved into *decoded*
-//! instruction indices, register operands pre-resolved to flat slot
-//! indices, immediates pre-converted to the raw register bits the
-//! interpreter's `eval` would produce (`float_bits` applied at decode
-//! time), and the per-instruction issue cost pre-computed for the session's
-//! device. The warp loop in `crate::dispatch` then runs without
-//! per-instruction operand matching, label skipping, or cost-table lookups.
-//!
-//! On top of the flat stream, decode performs a *superinstruction* analysis
-//! for the fused tier: every instruction records the length of the maximal
-//! straight-line run of infallible pure scalar operations starting at it,
-//! together with that run's summed issue cost and per-lane flop increments.
-//! The fused dispatch loop retires such a run as a single step, bumping the
-//! counters by the precomputed aggregates — producing bit-identical
-//! [`crate::ExecStats`] to stepping the run one instruction at a time.
-//! Fallible operations (memory, integer div/rem, control flow) are never
-//! fused, so fault ordering and fault sites are unchanged by construction.
+//! instruction indices, register operands pre-resolved to register slots,
+//! immediates pre-converted to the raw register bits the interpreter's
+//! `eval` would produce (`float_bits` applied at decode time), and the
+//! per-instruction issue cost and per-lane flop count pre-computed for the
+//! session's device. Memory instructions decode the same way: state space,
+//! type, destination slot, and the address base operand are resolved up
+//! front. The warp loop in `crate::dispatch` then runs without
+//! per-instruction operand matching, label skipping, or cost-table lookups,
+//! and executes every instruction for the whole warp at once.
 //!
 //! Execution tiers are selected with [`ExecTier`] (env var
-//! `GPUCMP_SIM_TIER={interp,decoded,fused}`); the interpreter in
-//! [`crate::exec`] remains the reference tier.
+//! `GPUCMP_SIM_TIER={interp,decoded}`); the interpreter in [`crate::exec`]
+//! remains the reference tier.
 
 use crate::alu::float_bits;
 use crate::device::{Arch, DeviceSpec};
-use gpucmp_ptx::{CmpOp, Inst, Op1, Op2, Op3, Operand, ResolvedKernel, Special, Ty};
+use gpucmp_ptx::{
+    Address, AtomOp, CmpOp, Inst, Op1, Op2, Op3, Operand, ResolvedKernel, Space, Special, Ty,
+};
 
 /// Which execution engine simulates warp instructions.
 ///
-/// All tiers are bit-identical by contract: same [`crate::ExecStats`], same
-/// faults (kind, site, and order), same memcheck records, same memory
-/// results. The tiers differ only in host wall-clock.
+/// Both tiers are bit-identical by contract: same [`crate::ExecStats`],
+/// same faults (kind, site, and order), same memcheck records, same memory
+/// results. They differ only in host wall-clock.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecTier {
-    /// The reference per-instruction interpreter over the original
-    /// instruction stream (labels skipped at run time).
+    /// The reference per-instruction, per-lane interpreter over the
+    /// original instruction stream (labels skipped at run time).
     Interp,
-    /// The pre-decoded dispatch IR, stepped one instruction at a time.
-    Decoded,
-    /// The pre-decoded IR with straight-line runs of pure scalar
-    /// instructions retired as single superinstruction steps (the default).
+    /// The pre-decoded dispatch IR, one dispatch per warp instruction
+    /// (the default).
     #[default]
-    Fused,
+    Decoded,
 }
 
 impl ExecTier {
@@ -53,13 +46,12 @@ impl ExecTier {
         match s.trim().to_ascii_lowercase().as_str() {
             "interp" | "interpreter" => Some(ExecTier::Interp),
             "decoded" | "decode" => Some(ExecTier::Decoded),
-            "fused" | "fuse" => Some(ExecTier::Fused),
             _ => None,
         }
     }
 
     /// Read `GPUCMP_SIM_TIER`; unset or unrecognised values fall back to
-    /// the default tier ([`ExecTier::Fused`]).
+    /// the default tier ([`ExecTier::Decoded`]).
     pub fn from_env() -> ExecTier {
         std::env::var("GPUCMP_SIM_TIER")
             .ok()
@@ -72,25 +64,27 @@ impl ExecTier {
         match self {
             ExecTier::Interp => "interp",
             ExecTier::Decoded => "decoded",
-            ExecTier::Fused => "fused",
         }
     }
 }
 
-/// A pre-resolved scalar source operand. Immediates carry the exact raw
-/// register bits the interpreter's `eval` would produce for the operand in
-/// its use-type context.
-#[derive(Clone, Copy, Debug)]
+/// A pre-resolved source operand. Immediates carry the exact raw register
+/// bits the interpreter's `eval` would produce for the operand in its
+/// use-type context.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) enum DSrc {
     /// Register slot index (`Reg::index()`).
     Reg(u32),
     /// Pre-converted immediate bits.
     Imm(u64),
-    /// Special register, still evaluated per lane (depends on tid/ctaid).
+    /// Special register (depends on tid/ctaid; produced per warp).
     Special(Special),
 }
 
-fn decode_src(op: Operand, ty: Ty) -> DSrc {
+/// Resolve operand `op` read in type context `ty` (the interpreter's
+/// `eval(op, ty)`, with everything that does not depend on the lane done
+/// now).
+pub(crate) fn decode_src(op: Operand, ty: Ty) -> DSrc {
     match op {
         Operand::Reg(r) => DSrc::Reg(r.0),
         Operand::ImmI(v) => DSrc::Imm(if ty.is_float() {
@@ -103,11 +97,25 @@ fn decode_src(op: Operand, ty: Ty) -> DSrc {
     }
 }
 
-/// A decoded operation. Scalar ALU ops and control flow are fully
-/// pre-resolved; memory operations keep their original [`Inst`] and
-/// delegate to the interpreter's warp-wide handlers, so the transaction,
-/// cache, bank-conflict, and memcheck modelling is shared between tiers by
-/// construction.
+/// A pre-resolved memory address: `base` (read as `u64`) plus a constant
+/// byte offset.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct DAddr {
+    pub(crate) base: DSrc,
+    pub(crate) offset: i64,
+}
+
+impl DAddr {
+    pub(crate) fn new(addr: Address) -> Self {
+        DAddr {
+            base: decode_src(addr.base, Ty::U64),
+            offset: addr.offset,
+        }
+    }
+}
+
+/// A decoded operation: every operand pre-resolved, control flow with
+/// decoded branch targets.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum DOp {
     /// `mov.ty d, a`
@@ -149,6 +157,32 @@ pub(crate) enum DOp {
         b: DSrc,
         p: u32,
     },
+    /// `ld.space.ty d, [addr]`
+    Ld {
+        space: Space,
+        ty: Ty,
+        d: u32,
+        addr: DAddr,
+    },
+    /// `st.space.ty [addr], a`
+    St {
+        space: Space,
+        ty: Ty,
+        addr: DAddr,
+        a: DSrc,
+    },
+    /// `tex.ty d, tex[idx]`; `idx` is read as `s32`.
+    Tex { ty: Ty, d: u32, tex: u8, idx: DSrc },
+    /// `atom.space.op.ty d, [addr], b, c`
+    Atom {
+        space: Space,
+        op: AtomOp,
+        ty: Ty,
+        d: u32,
+        addr: DAddr,
+        b: DSrc,
+        c: DSrc,
+    },
     /// Push a reconvergence frame.
     Ssy,
     /// Reconvergence point.
@@ -163,12 +197,9 @@ pub(crate) enum DOp {
     Bar,
     /// Kernel return.
     Ret,
-    /// Memory op (ld/st/tex/atom), delegated to the interpreter's warp
-    /// handlers.
-    Mem(Inst),
 }
 
-/// One pre-decoded instruction plus its fusion metadata.
+/// One pre-decoded instruction.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct DecodedInst {
     pub(crate) op: DOp,
@@ -177,13 +208,8 @@ pub(crate) struct DecodedInst {
     pub(crate) orig_pc: u32,
     /// Issue cost in millicycles, pre-computed for the session device.
     pub(crate) cost: u64,
-    /// Length of the maximal fusible straight-line run starting here
-    /// (0 if this instruction is not fusible).
-    pub(crate) fuse: u32,
-    /// Summed issue cost of that run (0 if not fusible).
-    pub(crate) run_cost: u64,
-    /// Summed per-lane flop increments of that run (0 if not fusible).
-    pub(crate) run_flops: u64,
+    /// `ExecStats::flops` added per active lane.
+    pub(crate) flops: u64,
 }
 
 /// A kernel compiled to the pre-decoded dispatch IR for one device.
@@ -211,23 +237,6 @@ impl DecodedKernel {
     /// Whether the decoded body is empty.
     pub fn is_empty(&self) -> bool {
         self.body.is_empty()
-    }
-
-    /// Number of instructions covered by fusible runs of length >= 2
-    /// (diagnostic; used by tests and the sim-speed report).
-    pub fn fused_coverage(&self) -> usize {
-        let mut covered = 0usize;
-        let mut i = 0usize;
-        while i < self.body.len() {
-            let l = self.body[i].fuse as usize;
-            if l >= 2 {
-                covered += l;
-                i += l;
-            } else {
-                i += 1;
-            }
-        }
-        covered
     }
 }
 
@@ -300,31 +309,13 @@ pub(crate) fn issue_cost_millicycles(d: &DeviceSpec, inst: &Inst) -> u64 {
     }
 }
 
-/// Whether a decoded op may join a fused superinstruction run. Only
-/// *infallible* pure scalar register ops qualify: integer div/rem (the one
-/// fallible ALU case, `DivByZero`) and everything touching memory or
-/// control flow are excluded, so a fused run can never fault and fault
-/// ordering is identical to single-stepping.
-fn fusible(op: &DOp) -> bool {
-    match op {
-        DOp::Mov { .. }
-        | DOp::Cvt { .. }
-        | DOp::Un { .. }
-        | DOp::Tern { .. }
-        | DOp::Setp { .. }
-        | DOp::Selp { .. } => true,
-        DOp::Bin { op, ty, .. } => ty.is_float() || !matches!(op, Op2::Div | Op2::Rem),
-        _ => false,
-    }
-}
-
-/// Per-lane `ExecStats::flops` increment of a scalar op (must mirror the
-/// interpreter's `exec_scalar` exactly).
-fn flop_inc(op: &DOp) -> u64 {
-    match op {
-        DOp::Un { op, .. } => matches!(op, Op1::Sqrt | Op1::Rsqrt | Op1::Rcp) as u64,
-        DOp::Bin { op, ty, .. } => (ty.is_float() && !op.is_logic() && !op.is_shift()) as u64,
-        DOp::Tern { ty, .. } if ty.is_float() => 2,
+/// Per-lane `ExecStats::flops` increment of an instruction. Shared by the
+/// interpreter and the decoder, like the issue cost.
+pub(crate) fn flop_inc(inst: &Inst) -> u64 {
+    match *inst {
+        Inst::Un { op, .. } => matches!(op, Op1::Sqrt | Op1::Rsqrt | Op1::Rcp) as u64,
+        Inst::Bin { op, ty, .. } => (ty.is_float() && !op.is_logic() && !op.is_shift()) as u64,
+        Inst::Tern { ty, .. } if ty.is_float() => 2,
         _ => 0,
     }
 }
@@ -398,6 +389,41 @@ pub fn decode_kernel(kernel: &ResolvedKernel, device: &DeviceSpec) -> DecodedKer
                 b: decode_src(b, ty),
                 p: p.0,
             },
+            Inst::Ld { space, ty, d, addr } => DOp::Ld {
+                space,
+                ty,
+                d: d.0,
+                addr: DAddr::new(addr),
+            },
+            Inst::St { space, ty, addr, a } => DOp::St {
+                space,
+                ty,
+                addr: DAddr::new(addr),
+                a: decode_src(a, ty),
+            },
+            Inst::Tex { ty, d, tex, idx } => DOp::Tex {
+                ty,
+                d: d.0,
+                tex: tex.0,
+                idx: decode_src(idx, Ty::S32),
+            },
+            Inst::Atom {
+                space,
+                op,
+                ty,
+                d,
+                addr,
+                b,
+                c,
+            } => DOp::Atom {
+                space,
+                op,
+                ty,
+                d: d.0,
+                addr: DAddr::new(addr),
+                b: decode_src(b, ty),
+                c: decode_src(c, ty),
+            },
             Inst::Ssy { .. } => DOp::Ssy,
             Inst::SyncPoint => DOp::Sync,
             Inst::Bra { pred, .. } => DOp::Bra {
@@ -406,41 +432,15 @@ pub fn decode_kernel(kernel: &ResolvedKernel, device: &DeviceSpec) -> DecodedKer
             },
             Inst::Bar => DOp::Bar,
             Inst::Ret => DOp::Ret,
-            Inst::Ld { .. } | Inst::St { .. } | Inst::Tex { .. } | Inst::Atom { .. } => {
-                DOp::Mem(*inst)
-            }
         };
         body.push(DecodedInst {
             op,
             orig_pc: pc as u32,
             cost: issue_cost_millicycles(device, inst),
-            fuse: 0,
-            run_cost: 0,
-            run_flops: 0,
+            flops: flop_inc(inst),
         });
     }
     debug_assert_eq!(body.len(), total as usize);
-
-    // Backward superinstruction analysis: a branch into the middle of a run
-    // sees the correct remaining length/cost/flops by construction, because
-    // every instruction records the aggregates of the run *starting at it*.
-    let m = body.len();
-    for i in (0..m).rev() {
-        if fusible(&body[i].op) {
-            let (nf, nc, nfl) = if i + 1 < m {
-                (
-                    body[i + 1].fuse,
-                    body[i + 1].run_cost,
-                    body[i + 1].run_flops,
-                )
-            } else {
-                (0, 0, 0)
-            };
-            body[i].fuse = nf + 1;
-            body[i].run_cost = body[i].cost + nc;
-            body[i].run_flops = flop_inc(&body[i].op) + nfl;
-        }
-    }
 
     DecodedKernel {
         body,
@@ -452,7 +452,7 @@ pub fn decode_kernel(kernel: &ResolvedKernel, device: &DeviceSpec) -> DecodedKer
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpucmp_ptx::{Address, Kernel, LabelId, Reg, Space};
+    use gpucmp_ptx::{Kernel, LabelId, Reg};
 
     fn decode(k: &Kernel) -> DecodedKernel {
         decode_kernel(&k.resolve().unwrap(), &DeviceSpec::gtx480())
@@ -511,56 +511,92 @@ mod tests {
     }
 
     #[test]
-    fn fusion_covers_scalar_runs_but_not_memory_or_int_div() {
+    fn memory_ops_decode_their_operands() {
         let mut k = Kernel::new("t");
-        k.regs = vec![Ty::F32, Ty::F32, Ty::S32];
+        k.regs = vec![Ty::F32, Ty::U64];
         k.body = vec![
-            Inst::Mov {
-                ty: Ty::F32,
-                d: Reg(0),
-                a: Operand::ImmF(1.0),
-            },
-            Inst::Bin {
-                op: Op2::Add,
-                ty: Ty::F32,
+            Inst::Ld {
+                space: Space::Param,
+                ty: Ty::U64,
                 d: Reg(1),
-                a: Operand::Reg(Reg(0)),
-                b: Operand::ImmF(2.0),
-            },
-            Inst::Bin {
-                op: Op2::Div,
-                ty: Ty::S32,
-                d: Reg(2),
-                a: Operand::Reg(Reg(2)),
-                b: Operand::ImmI(2),
+                addr: Address::base(Operand::ImmI(8)),
             },
             Inst::St {
                 space: Space::Global,
                 ty: Ty::F32,
-                addr: Address::base(Operand::ImmI(0)),
-                a: Operand::Reg(Reg(1)),
+                addr: Address {
+                    base: Operand::Reg(Reg(1)),
+                    offset: 16,
+                },
+                a: Operand::ImmI(3),
             },
             Inst::Ret,
         ];
         let d = decode(&k);
-        // mov + fadd fuse; integer div (fallible) and the store do not.
-        assert_eq!(d.body[0].fuse, 2);
-        assert_eq!(d.body[1].fuse, 1);
-        assert_eq!(d.body[2].fuse, 0);
-        assert_eq!(d.body[3].fuse, 0);
-        assert_eq!(d.body[0].run_cost, d.body[0].cost + d.body[1].cost);
-        // fadd contributes one flop per lane, mov none.
-        assert_eq!(d.body[0].run_flops, 1);
-        assert_eq!(d.fused_coverage(), 2);
+        match d.body[0].op {
+            DOp::Ld {
+                space: Space::Param,
+                d: 1,
+                addr,
+                ..
+            } => assert_eq!(addr.base, DSrc::Imm(8)),
+            ref other => panic!("expected ld.param, got {other:?}"),
+        }
+        // The stored immediate is converted in the store's type context.
+        match d.body[1].op {
+            DOp::St {
+                addr,
+                a: DSrc::Imm(bits),
+                ..
+            } => {
+                assert_eq!((addr.base, addr.offset), (DSrc::Reg(1), 16));
+                assert_eq!(bits, 3.0f32.to_bits() as u64);
+            }
+            ref other => panic!("expected st.global, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn flops_are_counted_per_lane_at_decode() {
+        let mut k = Kernel::new("t");
+        k.regs = vec![Ty::F32, Ty::S32];
+        k.body = vec![
+            Inst::Bin {
+                op: Op2::Add,
+                ty: Ty::F32,
+                d: Reg(0),
+                a: Operand::Reg(Reg(0)),
+                b: Operand::ImmF(2.0),
+            },
+            Inst::Tern {
+                op: Op3::Fma,
+                ty: Ty::F32,
+                d: Reg(0),
+                a: Operand::Reg(Reg(0)),
+                b: Operand::Reg(Reg(0)),
+                c: Operand::Reg(Reg(0)),
+            },
+            Inst::Bin {
+                op: Op2::Add,
+                ty: Ty::S32,
+                d: Reg(1),
+                a: Operand::Reg(Reg(1)),
+                b: Operand::ImmI(1),
+            },
+            Inst::Ret,
+        ];
+        let d = decode(&k);
+        let flops: Vec<u64> = d.body.iter().map(|i| i.flops).collect();
+        assert_eq!(flops, [1, 2, 0, 0]);
     }
 
     #[test]
     fn tier_parsing() {
         assert_eq!(ExecTier::parse("interp"), Some(ExecTier::Interp));
-        assert_eq!(ExecTier::parse("DECODED"), Some(ExecTier::Decoded));
-        assert_eq!(ExecTier::parse(" fused "), Some(ExecTier::Fused));
+        assert_eq!(ExecTier::parse(" DECODED "), Some(ExecTier::Decoded));
+        assert_eq!(ExecTier::parse("fused"), None);
         assert_eq!(ExecTier::parse("jit"), None);
-        assert_eq!(ExecTier::default(), ExecTier::Fused);
-        assert_eq!(ExecTier::Fused.name(), "fused");
+        assert_eq!(ExecTier::default(), ExecTier::Decoded);
+        assert_eq!(ExecTier::Decoded.name(), "decoded");
     }
 }

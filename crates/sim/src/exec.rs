@@ -22,19 +22,22 @@
 //! in deterministic block order.
 
 use crate::alu::{
-    alu1, alu2, alu3, compare, convert, dram_traffic, float_bits, load_extend, read_bytes,
+    alu1, alu2, alu3, compare, convert, dram_traffic, float_bits, load_extend, read_bytes, with_ty,
     write_bytes,
 };
 use crate::cache::{Cache, CacheAccess};
-use crate::decode::{decode_kernel, issue_cost_millicycles, DecodedKernel, ExecTier};
+use crate::decode::{
+    decode_kernel, decode_src, issue_cost_millicycles, DAddr, DSrc, DecodedKernel, ExecTier,
+};
 use crate::device::DeviceSpec;
 use crate::error::{DeviceFault, FaultKind, FaultSite, SimError};
 use crate::launch::{Dim3, LaunchConfig, TexBinding};
-use crate::mem::{GlobalMemory, WriteOverlay};
-use crate::stats::ExecStats;
-use gpucmp_ptx::{
-    Address, AtomOp, Inst, Op1, Op2, Operand, Reg, ResolvedKernel, Space, Special, Ty,
+use crate::mem::{
+    bank_conflict_degree, coalesce_segments, distinct_ascending, Divisor, GlobalMemory,
+    WriteOverlay,
 };
+use crate::stats::ExecStats;
+use gpucmp_ptx::{AtomOp, Inst, Op1, Op2, Operand, Reg, ResolvedKernel, Space, Special, Ty};
 use std::time::Instant;
 
 /// Default dynamic warp-instruction budget per launch (runaway-loop guard).
@@ -48,8 +51,8 @@ pub(crate) struct Frame {
     /// A parked path: (target pc, mask), waiting to run when the current
     /// path reaches the `sync`. The pc lives in the instruction space of
     /// the executing tier (original stream for interp, decoded stream for
-    /// decoded/fused) — warps are rebuilt per block and one launch runs one
-    /// tier, so the spaces never mix.
+    /// decoded) — warps are rebuilt per block and one launch runs one tier,
+    /// so the spaces never mix.
     pub(crate) pending: Option<(usize, u64)>,
 }
 
@@ -69,6 +72,9 @@ pub(crate) struct WarpState {
     pub(crate) active: u64,
     /// Lanes that exist in this warp (partial last warp of a block).
     pub(crate) full: u64,
+    /// Number of lanes that exist (`full.count_ones()`): the length of the
+    /// warp's lane slice of every register.
+    pub(crate) lanes: u32,
     pub(crate) stack: Vec<Frame>,
     pub(crate) status: WarpStatus,
     /// Linear tid of lane 0 of this warp within the block.
@@ -89,8 +95,8 @@ pub struct ExecOptions {
     /// granularity, like `cuda-memcheck`. Control-flow faults (barrier
     /// deadlock, divergence misuse, watchdog) still abort.
     pub memcheck: bool,
-    /// Which execution engine steps warp instructions (interp / decoded /
-    /// fused). Bit-identical results by contract; see [`ExecTier`].
+    /// Which execution engine steps warp instructions (interp / decoded).
+    /// Bit-identical results by contract; see [`ExecTier`].
     /// `Default` does *not* consult the environment — callers that want
     /// `GPUCMP_SIM_TIER` respected use [`ExecTier::from_env`].
     pub tier: ExecTier,
@@ -289,8 +295,8 @@ pub fn run_launch(
 
 /// [`run_launch`] with an optional pre-decoded kernel.
 ///
-/// When `opts.tier` is a decoded tier and `code` is `Some`, the launch
-/// executes that pre-decoded body (the session code cache path — one
+/// When `opts.tier` is [`ExecTier::Decoded`] and `code` is `Some`, the
+/// launch executes that pre-decoded body (the session code cache path — one
 /// decode per distinct kernel). With `code == None` the kernel is decoded
 /// here, once per launch. On [`ExecTier::Interp`] any provided `code` is
 /// ignored and the reference interpreter runs.
@@ -307,7 +313,7 @@ pub fn run_launch_with_code(
     let decoded_here;
     let code: Option<&DecodedKernel> = match opts.tier {
         ExecTier::Interp => None,
-        ExecTier::Decoded | ExecTier::Fused => Some(match code {
+        ExecTier::Decoded => Some(match code {
             Some(c) => c,
             None => {
                 decoded_here = decode_kernel(kernel, device);
@@ -315,7 +321,6 @@ pub fn run_launch_with_code(
             }
         }),
     };
-    let fused = opts.tier == ExecTier::Fused;
     let blocks = cfg.grid.count();
     let block_threads = cfg.block.count() as u32;
 
@@ -351,16 +356,7 @@ pub fn run_launch_with_code(
             gmem,
             l2: device.l2.map(Cache::from_geom),
         };
-        let mut exec = BlockExec::new(
-            device,
-            kernel,
-            cfg,
-            const_bank,
-            opts.memcheck,
-            code,
-            fused,
-            path,
-        );
+        let mut exec = BlockExec::new(device, kernel, cfg, const_bank, opts.memcheck, code, path);
         let mut result = Ok(());
         for b in 0..blocks {
             result = exec.run_linear_block(b);
@@ -390,16 +386,7 @@ pub fn run_launch_with_code(
             events: Vec::new(),
             record_l2: device.l2.is_some(),
         };
-        let mut exec = BlockExec::new(
-            device,
-            kernel,
-            cfg,
-            const_bank,
-            opts.memcheck,
-            code,
-            fused,
-            path,
-        );
+        let mut exec = BlockExec::new(device, kernel, cfg, const_bank, opts.memcheck, code, path);
         let mut b = worker as u64;
         while b < blocks {
             exec.budget = cfg.inst_budget;
@@ -493,13 +480,20 @@ pub(crate) struct BlockExec<'a> {
     pub(crate) budget: u64,
     /// Pre-decoded dispatch IR (`None` on the interp reference tier).
     code: Option<&'a DecodedKernel>,
-    /// Whether the decoded tier retires fused superinstruction runs.
-    fused: bool,
-    /// Register-file stride (`kernel.regs.len()`), cached so the decoded
-    /// tier's slot arithmetic skips the double pointer chase per access.
-    pub(crate) reg_stride: usize,
+    /// The slot-major register file.
+    pub(crate) file: LaneFile,
+    /// Lane buffers of the current warp instruction.
+    pub(crate) bufs: LaneBufs,
+    /// The device's coalescing segment (`segment_bytes`, at least 32).
+    seg: Divisor,
+    /// The device's shared-memory bank count (at least 1).
+    banks: Divisor,
+    /// Texture fetch granularity: the texture cache line, or the segment on
+    /// devices without one.
+    tex_line: Divisor,
+    /// Constant fetch granularity: the constant cache line, or 64 bytes.
+    const_line: Divisor,
     // ---- per-block state (reused across blocks to avoid reallocation) ----
-    pub(crate) regs: Vec<u64>,
     shared: Vec<u8>,
     local: Vec<u8>,
     pub(crate) warps: Vec<WarpState>,
@@ -512,6 +506,8 @@ pub(crate) struct BlockExec<'a> {
     seg_scratch: Vec<u64>,
     /// Scratch: (bank, word) pairs of one shared-memory banking group.
     word_scratch: Vec<(u64, u64)>,
+    /// Scratch: the words of one banking group's lanes.
+    lane_words: [u64; 64],
     /// Scratch: distinct constant-space addresses of one warp access.
     addr_scratch: Vec<u64>,
     /// Scratch: distinct cache lines of one warp access.
@@ -545,13 +541,15 @@ impl<'a> BlockExec<'a> {
         const_bank: &'a [u8],
         memcheck: bool,
         code: Option<&'a DecodedKernel>,
-        fused: bool,
         path: GmemPath<'a>,
     ) -> Self {
         let mut param_bytes = Vec::with_capacity(cfg.params.len() * 8);
         for p in &cfg.params {
             param_bytes.extend_from_slice(&p.to_le_bytes());
         }
+        let line_of = |g: Option<crate::device::CacheGeom>, default: u64| {
+            Divisor::new(g.map_or(default, |g| Cache::from_geom(g).line_bytes()))
+        };
         BlockExec {
             device,
             kernel,
@@ -564,9 +562,17 @@ impl<'a> BlockExec<'a> {
             stats: ExecStats::default(),
             budget: cfg.inst_budget,
             code,
-            fused,
-            reg_stride: kernel.kernel.regs.len(),
-            regs: Vec::new(),
+            file: LaneFile::new(cfg.block, cfg.grid, device.warp_width),
+            bufs: LaneBufs {
+                a: [0; 64],
+                b: [0; 64],
+                c: [0; 64],
+                out: [0; 64],
+            },
+            seg: Divisor::new(device.segment_bytes.max(32) as u64),
+            banks: Divisor::new(device.shared_banks.max(1) as u64),
+            tex_line: line_of(device.tex_cache, device.segment_bytes as u64),
+            const_line: line_of(device.const_cache, 64),
             shared: Vec::new(),
             local: Vec::new(),
             warps: Vec::new(),
@@ -576,6 +582,7 @@ impl<'a> BlockExec<'a> {
             lane_addr: Vec::new(),
             seg_scratch: Vec::new(),
             word_scratch: Vec::new(),
+            lane_words: [0; 64],
             addr_scratch: Vec::new(),
             line_scratch: Vec::new(),
             cur_block: 0,
@@ -675,11 +682,9 @@ impl<'a> BlockExec<'a> {
     fn run_block(&mut self, ctaid: Dim3) -> Result<(), DeviceFault> {
         let k = &self.kernel.kernel;
         let threads = self.block.count() as u32;
-        let num_regs = k.regs.len() as u32;
         let ww = self.device.warp_width;
         // (Re)initialise per-block state.
-        self.regs.clear();
-        self.regs.resize((threads * num_regs.max(1)) as usize, 0);
+        self.file.reset(k.regs.len());
         self.shared.clear();
         self.shared.resize(k.shared_bytes as usize, 0);
         self.local.clear();
@@ -704,6 +709,7 @@ impl<'a> BlockExec<'a> {
                 pc: 0,
                 active: full,
                 full,
+                lanes,
                 stack: Vec::new(),
                 status: WarpStatus::Running,
                 base_tid,
@@ -716,7 +722,7 @@ impl<'a> BlockExec<'a> {
                 if self.warps[w].status == WarpStatus::Running {
                     match self.code {
                         None => self.run_warp(w, ctaid),
-                        Some(code) => self.run_warp_decoded(w, ctaid, code, self.fused),
+                        Some(code) => self.run_warp_decoded(w, ctaid, code),
                     }
                     .map_err(|k| self.site_fault(k, ctaid))?;
                     progressed = true;
@@ -872,11 +878,19 @@ impl<'a> BlockExec<'a> {
         inst: &Inst,
     ) -> Result<(), FaultKind> {
         // Memory instructions need transaction modelling over the whole
-        // warp; everything else is a pure per-lane register update.
-        match inst {
-            Inst::Ld { space, ty, d, addr } => self.exec_ld(w, ctaid, *space, *ty, *d, *addr),
-            Inst::St { space, ty, addr, a } => self.exec_st(w, ctaid, *space, *ty, *addr, *a),
-            Inst::Tex { ty, d, tex, idx } => self.exec_tex(w, ctaid, *ty, *d, *tex, *idx),
+        // warp and share their handlers with the decoded tier; everything
+        // else is a pure per-lane register update.
+        match *inst {
+            Inst::Ld { space, ty, d, addr } => {
+                self.exec_ld(w, ctaid, space, ty, d.0, DAddr::new(addr))
+            }
+            Inst::St { space, ty, addr, a } => {
+                let a = decode_src(a, ty);
+                self.exec_st(w, ctaid, space, ty, DAddr::new(addr), a)
+            }
+            Inst::Tex { ty, d, tex, idx } => {
+                self.exec_tex(w, ctaid, ty, d.0, tex.0, decode_src(idx, Ty::S32))
+            }
             Inst::Atom {
                 space,
                 op,
@@ -885,7 +899,10 @@ impl<'a> BlockExec<'a> {
                 addr,
                 b,
                 c,
-            } => self.exec_atom(w, ctaid, *space, *op, *ty, *d, *addr, *b, *c),
+            } => {
+                let (b, c) = (decode_src(b, ty), decode_src(c, ty));
+                self.exec_atom(w, ctaid, space, op, ty, d.0, DAddr::new(addr), b, c)
+            }
             _ => {
                 let active = self.warps[w].active;
                 let base = self.warps[w].base_tid;
@@ -959,152 +976,227 @@ impl<'a> BlockExec<'a> {
     }
 
     // ------------------------------------------------------------------
-    // Memory instructions
+    // Memory instructions (shared by both tiers)
     // ------------------------------------------------------------------
 
-    /// Gather the (lane, byte-address) pairs of the current warp memory op
-    /// into `self.lane_addr`.
-    fn gather_addresses(&mut self, w: usize, ctaid: Dim3, addr: Address) {
-        let active = self.warps[w].active;
-        let base = self.warps[w].base_tid;
-        let ww = self.device.warp_width;
-        self.lane_addr.clear();
-        for lane in 0..ww {
-            if active & (1u64 << lane) == 0 {
-                continue;
-            }
-            let tid = base + lane;
-            let b = self.eval(tid, ctaid, addr.base, Ty::U64);
-            self.lane_addr
-                .push((tid, b.wrapping_add(addr.offset as u64)));
+    /// The lanes of warp `w` for a warp-wide operation.
+    #[inline]
+    pub(crate) fn warp_lanes(&self, w: usize, ctaid: Dim3) -> WarpLanes {
+        let warp = &self.warps[w];
+        WarpLanes {
+            base: warp.base_tid as usize,
+            n: warp.lanes as usize,
+            active: warp.active,
+            full: warp.full,
+            ctaid,
         }
     }
 
-    fn exec_ld(
+    /// Gather the (lane, byte-address) pairs of the current warp memory op
+    /// into `self.lane_addr`, in lane order.
+    fn gather_addresses(&mut self, v: WarpLanes, addr: DAddr) {
+        let base = self.file.fetch(v, addr.base, &mut self.bufs.a);
+        let lane = |i: usize| {
+            (
+                (v.base + i) as u32,
+                base[i].wrapping_add(addr.offset as u64),
+            )
+        };
+        self.lane_addr.clear();
+        self.lane_addr.extend(lanes_of(v.active).map(lane));
+    }
+
+    /// Settle a lane's faulting access: under memcheck an access fault is
+    /// recorded and the lane goes on with a zero read (or a dropped
+    /// write); any other fault aborts, attributed to lane `tid`.
+    fn lane_fault(&mut self, k: FaultKind, tid: u32, ctaid: Dim3) -> Result<u64, FaultKind> {
+        self.cur_tid = tid;
+        if self.memcheck && k.is_access_fault() {
+            self.record_fault(k, ctaid);
+            Ok(0)
+        } else {
+            Err(k)
+        }
+    }
+
+    pub(crate) fn exec_ld(
         &mut self,
         w: usize,
         ctaid: Dim3,
         space: Space,
         ty: Ty,
-        d: Reg,
-        addr: Address,
+        d: u32,
+        addr: DAddr,
     ) -> Result<(), FaultKind> {
-        self.gather_addresses(w, ctaid, addr);
+        let v = self.warp_lanes(w, ctaid);
         let size = ty.size_bytes();
+        if let (Space::Param, DSrc::Imm(base)) = (space, addr.base) {
+            // A uniform parameter load reads once and broadcasts. A faulting
+            // read takes the per-lane path, which reports every lane.
+            let a = base.wrapping_add(addr.offset as u64);
+            if let Ok(x) = read_bytes(&self.param_bytes, a, size, Space::Param) {
+                self.bufs.out[..v.n].fill(load_extend(x, ty));
+                self.file.write_back(d, v, &self.bufs.out);
+                return Ok(());
+            }
+        }
+        self.gather_addresses(v, addr);
         // Cost model first (needs the address vector), then functional reads.
         self.account_memory(space, size, false);
-        let threads = self.block.count() as u32;
-        for i in 0..self.lane_addr.len() {
-            let (tid, a) = self.lane_addr[i];
-            self.cur_tid = tid;
-            let v = match self.space_read_checked(space, tid, threads, a, size) {
-                Ok(v) => v,
-                Err(k) if self.memcheck && k.is_access_fault() => {
-                    // Sanitizer semantics: report, read zero, keep going.
-                    self.record_fault(k, ctaid);
-                    0
-                }
-                Err(k) => return Err(k),
+        // One lane loop per (type, space): the access size and the register
+        // extension are constants in each.
+        with_ty!(ty, T => {
+            let size = T.size_bytes();
+            match space {
+                Space::Global => self.ld_lanes(ctaid, T, d, |s, _, a| {
+                    if s.memcheck {
+                        s.gmem_check_alloc(a, size as u64)?;
+                    }
+                    s.gmem_read(a, size)
+                }),
+                Space::Shared => self.ld_lanes(ctaid, T, d, |s, _, a| {
+                    read_bytes(&s.shared, a, size, Space::Shared)
+                }),
+                Space::Local => self.ld_lanes(ctaid, T, d, |s, tid, a| s.local_read(tid, a, size)),
+                Space::Const => self.ld_lanes(ctaid, T, d, |s, _, a| {
+                    read_bytes(s.const_bank, a, size, Space::Const)
+                }),
+                Space::Param => self.ld_lanes(ctaid, T, d, |s, _, a| {
+                    read_bytes(&s.param_bytes, a, size, Space::Param)
+                }),
+            }
+        })
+    }
+
+    /// The functional half of a warp load: `read` every gathered lane
+    /// address, in lane order, into register `d`. Generic over the read so
+    /// the state space is matched once per warp access, not per lane.
+    #[inline(always)]
+    fn ld_lanes(
+        &mut self,
+        ctaid: Dim3,
+        ty: Ty,
+        d: u32,
+        read: impl Fn(&Self, u32, u64) -> Result<u64, FaultKind>,
+    ) -> Result<(), FaultKind> {
+        for j in 0..self.lane_addr.len() {
+            let (tid, a) = self.lane_addr[j];
+            let x = match read(self, tid, a) {
+                Ok(x) => x,
+                Err(k) => self.lane_fault(k, tid, ctaid)?,
             };
-            let v = load_extend(v, ty);
-            self.set_reg(tid, d, v);
+            self.file.set(d, tid, load_extend(x, ty));
         }
         Ok(())
     }
 
-    fn exec_st(
+    pub(crate) fn exec_st(
         &mut self,
         w: usize,
         ctaid: Dim3,
         space: Space,
         ty: Ty,
-        addr: Address,
-        a: Operand,
+        addr: DAddr,
+        a: DSrc,
     ) -> Result<(), FaultKind> {
-        self.gather_addresses(w, ctaid, addr);
-        let size = ty.size_bytes();
-        self.account_memory(space, size, true);
-        let threads = self.block.count() as u32;
-        for i in 0..self.lane_addr.len() {
-            let (tid, ad) = self.lane_addr[i];
-            self.cur_tid = tid;
-            let v = self.eval(tid, ctaid, a, ty);
-            match self.space_write_checked(space, tid, threads, ad, size, v) {
-                Ok(()) => {}
-                Err(k) if self.memcheck && k.is_access_fault() => {
-                    // Sanitizer semantics: report and drop the store.
-                    self.record_fault(k, ctaid);
+        let v = self.warp_lanes(w, ctaid);
+        self.gather_addresses(v, addr);
+        self.file.load(v, a, &mut self.bufs.b);
+        self.account_memory(space, ty.size_bytes(), true);
+        // One lane loop per (type, space), as for loads.
+        with_ty!(ty, T => {
+            let size = T.size_bytes();
+            match space {
+                Space::Global => self.st_lanes(ctaid, v, |s, _, a, x| {
+                    if s.memcheck {
+                        s.gmem_check_alloc(a, size as u64)?;
+                    }
+                    s.gmem_write(a, size, x)
+                }),
+                Space::Shared => self.st_lanes(ctaid, v, |s, _, a, x| {
+                    write_bytes(&mut s.shared, a, size, x, Space::Shared)
+                }),
+                Space::Local => {
+                    self.st_lanes(ctaid, v, |s, tid, a, x| s.local_write(tid, a, size, x))
                 }
-                Err(k) => return Err(k),
+                Space::Const | Space::Param => {
+                    self.st_lanes(ctaid, v, |_, _, _, _| Err(FaultKind::ReadOnly(space)))
+                }
+            }
+        })
+    }
+
+    /// The functional half of a warp store: `write` the value in
+    /// `bufs.b` of every gathered lane, in lane order (so the highest lane
+    /// wins a same-address conflict).
+    #[inline(always)]
+    fn st_lanes(
+        &mut self,
+        ctaid: Dim3,
+        v: WarpLanes,
+        write: impl Fn(&mut Self, u32, u64, u64) -> Result<(), FaultKind>,
+    ) -> Result<(), FaultKind> {
+        for j in 0..self.lane_addr.len() {
+            let (tid, a) = self.lane_addr[j];
+            let x = self.bufs.b[tid as usize - v.base];
+            if let Err(k) = write(self, tid, a, x) {
+                // Sanitizer semantics: report and drop the store.
+                self.lane_fault(k, tid, ctaid)?;
             }
         }
         Ok(())
     }
 
-    fn exec_tex(
+    pub(crate) fn exec_tex(
         &mut self,
         w: usize,
         ctaid: Dim3,
         ty: Ty,
-        d: Reg,
-        tex: gpucmp_ptx::TexRef,
-        idx: Operand,
+        d: u32,
+        tex: u8,
+        idx: DSrc,
     ) -> Result<(), FaultKind> {
         let binding = self
             .textures
-            .get(tex.0 as usize)
+            .get(tex as usize)
             .copied()
-            .ok_or(FaultKind::UnboundTexture(tex.0))?;
+            .ok_or(FaultKind::UnboundTexture(tex))?;
         let size = ty.size_bytes();
-        let active = self.warps[w].active;
-        let base = self.warps[w].base_tid;
-        let ww = self.device.warp_width;
+        let v = self.warp_lanes(w, ctaid);
+        self.file.load(v, idx, &mut self.bufs.a);
         self.lane_addr.clear();
-        for lane in 0..ww {
-            if active & (1u64 << lane) == 0 {
-                continue;
-            }
-            let tid = base + lane;
-            self.cur_tid = tid;
-            let i = self.eval(tid, ctaid, idx, Ty::S32) as u32 as i64;
+        for lane in lanes_of(v.active) {
+            let tid = (v.base + lane) as u32;
+            let i = self.bufs.a[lane] as u32 as i64;
             if i < 0 || i as u64 >= binding.elems {
                 let k = FaultKind::TextureOutOfRange {
-                    slot: tex.0,
+                    slot: tex,
                     index: i,
                     len: binding.elems,
                 };
-                if self.memcheck {
-                    // Report and give the lane a zero fetch (register is
-                    // zeroed below by skipping its address).
-                    self.record_fault(k, ctaid);
-                    self.set_reg(tid, d, 0);
-                    continue;
-                }
-                return Err(k);
+                // Under memcheck: report and give the lane a zero fetch.
+                self.lane_fault(k, tid, ctaid)?;
+                self.file.set(d, tid, 0);
+                continue;
             }
             self.lane_addr
                 .push((tid, binding.ptr.0 + i as u64 * size as u64));
         }
         // Texture path: distinct lines through the texture cache; misses go
         // to L2 (Fermi) or DRAM (GT200/Cypress).
-        let line = self
-            .texc
-            .as_ref()
-            .map(|c| c.line_bytes())
-            .unwrap_or(self.device.segment_bytes as u64);
-        self.line_scratch.clear();
-        self.line_scratch
-            .extend(self.lane_addr.iter().map(|&(_, a)| a / line));
-        self.line_scratch.sort_unstable();
-        self.line_scratch.dedup();
+        let line = self.tex_line;
+        distinct_ascending(
+            self.lane_addr.iter().map(|&(_, a)| line.div(a)),
+            &mut self.line_scratch,
+        );
         for i in 0..self.line_scratch.len() {
-            let l = self.line_scratch[i];
+            let l = self.line_scratch[i] * line.get();
             match &mut self.texc {
-                Some(c) => match c.access(l * line) {
+                Some(c) => match c.access(l) {
                     CacheAccess::Hit => self.stats.tex_hits += 1,
                     CacheAccess::Miss => {
                         self.stats.tex_misses += 1;
-                        self.fill_from_l2_or_dram(l * line, line, false);
+                        self.fill_from_l2_or_dram(l, line.get(), false);
                     }
                 },
                 None => {
@@ -1113,40 +1205,30 @@ impl<'a> BlockExec<'a> {
                     self.stats.tex_misses += 1;
                     self.stats.gmem_transactions += 1;
                     self.stats.gmem_ideal_transactions += 1;
-                    dram_traffic(self.device, &mut self.stats, l * line, line, false);
+                    dram_traffic(self.device, &mut self.stats, l, line.get(), false);
                 }
             }
         }
-        for i in 0..self.lane_addr.len() {
-            let (tid, a) = self.lane_addr[i];
-            self.cur_tid = tid;
-            let v = match self.gmem_read(a, size) {
-                Ok(v) => v,
-                Err(k) if self.memcheck && k.is_access_fault() => {
-                    self.record_fault(k, ctaid);
-                    0
-                }
-                Err(k) => return Err(k),
-            };
-            self.set_reg(tid, d, load_extend(v, ty));
-        }
-        Ok(())
+        self.ld_lanes(ctaid, ty, d, |s, _, a| s.gmem_read(a, size))
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn exec_atom(
+    pub(crate) fn exec_atom(
         &mut self,
         w: usize,
         ctaid: Dim3,
         space: Space,
         op: AtomOp,
         ty: Ty,
-        d: Reg,
-        addr: Address,
-        b: Operand,
-        c: Operand,
+        d: u32,
+        addr: DAddr,
+        b: DSrc,
+        c: DSrc,
     ) -> Result<(), FaultKind> {
-        self.gather_addresses(w, ctaid, addr);
+        let v = self.warp_lanes(w, ctaid);
+        self.gather_addresses(v, addr);
+        self.file.load(v, b, &mut self.bufs.b);
+        self.file.load(v, c, &mut self.bufs.c);
         let size = ty.size_bytes();
         // Atomics serialise per lane: cost one transaction per lane.
         self.stats.atomics += self.lane_addr.len() as u64;
@@ -1163,23 +1245,22 @@ impl<'a> BlockExec<'a> {
         } else {
             self.stats.shared_cycles += self.lane_addr.len() as u64;
         }
-        let threads = self.block.count() as u32;
         for i in 0..self.lane_addr.len() {
             let (tid, a) = self.lane_addr[i];
             self.cur_tid = tid;
-            let old = match self.space_read_checked(space, tid, threads, a, size) {
+            let old = match self.space_read_checked(space, tid, a, size) {
                 Ok(v) => v,
                 Err(k) if self.memcheck && k.is_access_fault() => {
                     // Report and skip the whole read-modify-write.
                     self.record_fault(k, ctaid);
-                    self.set_reg(tid, d, 0);
+                    self.file.set(d, tid, 0);
                     continue;
                 }
                 Err(k) => return Err(k),
             };
             let old = load_extend(old, ty);
-            let vb = self.eval(tid, ctaid, b, ty);
-            let vc = self.eval(tid, ctaid, c, ty);
+            let lane = tid as usize - v.base;
+            let (vb, vc) = (self.bufs.b[lane], self.bufs.c[lane]);
             let new = match op {
                 AtomOp::Add => alu2(Op2::Add, ty, old, vb)?,
                 AtomOp::Min => alu2(Op2::Min, ty, old, vb)?,
@@ -1193,8 +1274,8 @@ impl<'a> BlockExec<'a> {
                     }
                 }
             };
-            self.space_write_checked(space, tid, threads, a, size, new)?;
-            self.set_reg(tid, d, old);
+            self.space_write_checked(space, tid, a, size, new)?;
+            self.file.set(d, tid, old);
         }
         Ok(())
     }
@@ -1206,33 +1287,22 @@ impl<'a> BlockExec<'a> {
             Space::Global => {
                 self.stats.gmem_instructions += 1;
                 let group = self.device.coalesce_group.max(1) as usize;
-                let seg = self.device.segment_bytes.max(32) as u64;
+                let seg = self.seg;
                 // For each coalesce group of lanes, count distinct segments.
                 let mut i = 0;
                 while i < self.lane_addr.len() {
                     let end = (i + group).min(self.lane_addr.len());
-                    self.seg_scratch.clear();
-                    for j in i..end {
-                        let (_, a) = self.lane_addr[j];
-                        // every byte the access touches (may straddle)
-                        let first = a / seg;
-                        let last = (a + size as u64 - 1) / seg;
-                        for s in first..=last {
-                            self.seg_scratch.push(s);
-                        }
-                    }
-                    self.seg_scratch.sort_unstable();
-                    self.seg_scratch.dedup();
+                    coalesce_segments(&self.lane_addr[i..end], size, seg, &mut self.seg_scratch);
                     // Fully-coalesced floor: the same lanes touching
                     // contiguous addresses would have needed this many
                     // segments. The gap to the distinct-segment count is
                     // serialisation.
                     self.stats.gmem_ideal_transactions +=
-                        ((end - i) as u64 * size as u64).div_ceil(seg).max(1);
+                        ((end - i) as u64 * size as u64).div_ceil(seg.get()).max(1);
                     for j in 0..self.seg_scratch.len() {
                         let s = self.seg_scratch[j];
                         self.stats.gmem_transactions += 1;
-                        self.global_transaction(s * seg, seg, is_store);
+                        self.global_transaction(s * seg.get(), seg.get(), is_store);
                     }
                     i = end;
                 }
@@ -1241,36 +1311,18 @@ impl<'a> BlockExec<'a> {
                 // Bank-conflict model: within each banking group (half-warp
                 // on GT200, warp on Fermi), the access takes as many cycles
                 // as the most-contended bank has distinct words.
-                let banks = self.device.shared_banks.max(1) as u64;
                 let group = self.device.coalesce_group.max(1) as usize;
                 let scale = self.device.shared_access_scale;
                 let mut i = 0;
                 while i < self.lane_addr.len() {
                     let end = (i + group).min(self.lane_addr.len());
                     self.stats.shared_accesses += 1;
-                    let mut degree = 1u64;
-                    if banks > 1 {
-                        // words per bank
-                        self.word_scratch.clear();
-                        self.word_scratch
-                            .extend(self.lane_addr[i..end].iter().map(|&(_, a)| {
-                                let word = a / 4;
-                                (word % banks, word)
-                            }));
-                        self.word_scratch.sort_unstable();
-                        self.word_scratch.dedup();
-                        let mut run = 0u64;
-                        let mut prev_bank = u64::MAX;
-                        for &(bank, _) in &self.word_scratch {
-                            if bank == prev_bank {
-                                run += 1;
-                            } else {
-                                run = 1;
-                                prev_bank = bank;
-                            }
-                            degree = degree.max(run);
-                        }
-                    }
+                    let degree = bank_conflict_degree(
+                        &self.lane_addr[i..end],
+                        self.banks,
+                        &mut self.lane_words,
+                        &mut self.word_scratch,
+                    );
                     let cycles = (degree as f64 * scale).ceil() as u64;
                     self.stats.shared_cycles += cycles;
                     if degree > 1 {
@@ -1287,7 +1339,7 @@ impl<'a> BlockExec<'a> {
                 // slot hits the Fermi L1, while cacheless devices pay DRAM
                 // each time — the asymmetry behind the paper's Fig. 7.
                 let bytes = self.lane_addr.len() as u64 * size as u64;
-                let seg = self.device.segment_bytes.max(32) as u64;
+                let seg = self.seg.get();
                 let txns = bytes.div_ceil(seg);
                 let slot = self.lane_addr.first().map(|&(_, a)| a).unwrap_or(0);
                 let block_span =
@@ -1305,30 +1357,29 @@ impl<'a> BlockExec<'a> {
             }
             Space::Const => {
                 // Distinct addresses serialise; same-address is broadcast.
-                self.addr_scratch.clear();
-                self.addr_scratch
-                    .extend(self.lane_addr.iter().map(|&(_, a)| a));
-                self.addr_scratch.sort_unstable();
-                self.addr_scratch.dedup();
+                distinct_ascending(
+                    self.lane_addr.iter().map(|&(_, a)| a),
+                    &mut self.addr_scratch,
+                );
                 self.stats.const_serializations += self.addr_scratch.len() as u64 - 1;
-                let line = self.constc.as_ref().map(|cc| cc.line_bytes()).unwrap_or(64);
+                let line = self.const_line;
                 self.line_scratch.clear();
                 self.line_scratch
-                    .extend(self.addr_scratch.iter().map(|a| a / line));
+                    .extend(self.addr_scratch.iter().map(|&a| line.div(a)));
                 self.line_scratch.dedup();
                 self.stats.const_line_accesses += self.line_scratch.len() as u64;
                 for i in 0..self.line_scratch.len() {
-                    let l = self.line_scratch[i];
+                    let l = self.line_scratch[i] * line.get();
                     match &mut self.constc {
                         Some(cc) => {
-                            if cc.access(l * line) == CacheAccess::Miss {
+                            if cc.access(l) == CacheAccess::Miss {
                                 self.stats.const_misses += 1;
-                                dram_traffic(self.device, &mut self.stats, l * line, line, false);
+                                dram_traffic(self.device, &mut self.stats, l, line.get(), false);
                             }
                         }
                         None => {
                             self.stats.const_misses += 1;
-                            dram_traffic(self.device, &mut self.stats, l * line, line, false);
+                            dram_traffic(self.device, &mut self.stats, l, line.get(), false);
                         }
                     }
                 }
@@ -1408,21 +1459,19 @@ impl<'a> BlockExec<'a> {
         &self,
         space: Space,
         tid: u32,
-        threads: u32,
         addr: u64,
         size: u32,
     ) -> Result<u64, FaultKind> {
         if self.memcheck && space == Space::Global {
             self.gmem_check_alloc(addr, size as u64)?;
         }
-        self.space_read(space, tid, threads, addr, size)
+        self.space_read(space, tid, addr, size)
     }
 
     fn space_write_checked(
         &mut self,
         space: Space,
         tid: u32,
-        threads: u32,
         addr: u64,
         size: u32,
         value: u64,
@@ -1430,33 +1479,14 @@ impl<'a> BlockExec<'a> {
         if self.memcheck && space == Space::Global {
             self.gmem_check_alloc(addr, size as u64)?;
         }
-        self.space_write(space, tid, threads, addr, size, value)
+        self.space_write(space, tid, addr, size, value)
     }
 
-    fn space_read(
-        &self,
-        space: Space,
-        tid: u32,
-        _threads: u32,
-        addr: u64,
-        size: u32,
-    ) -> Result<u64, FaultKind> {
+    fn space_read(&self, space: Space, tid: u32, addr: u64, size: u32) -> Result<u64, FaultKind> {
         match space {
             Space::Global => self.gmem_read(addr, size),
             Space::Shared => read_bytes(&self.shared, addr, size, Space::Shared),
-            Space::Local => {
-                let lb = self.kernel.kernel.local_bytes as u64;
-                let base = tid as u64 * lb;
-                if addr + size as u64 > lb {
-                    return Err(FaultKind::OutOfBounds {
-                        space: Space::Local,
-                        addr,
-                        size,
-                        limit: lb,
-                    });
-                }
-                read_bytes(&self.local, base + addr, size, Space::Local)
-            }
+            Space::Local => self.local_read(tid, addr, size),
             Space::Const => read_bytes(self.const_bank, addr, size, Space::Const),
             Space::Param => read_bytes(&self.param_bytes, addr, size, Space::Param),
         }
@@ -1466,7 +1496,6 @@ impl<'a> BlockExec<'a> {
         &mut self,
         space: Space,
         tid: u32,
-        _threads: u32,
         addr: u64,
         size: u32,
         value: u64,
@@ -1474,37 +1503,50 @@ impl<'a> BlockExec<'a> {
         match space {
             Space::Global => self.gmem_write(addr, size, value),
             Space::Shared => write_bytes(&mut self.shared, addr, size, value, Space::Shared),
-            Space::Local => {
-                let lb = self.kernel.kernel.local_bytes as u64;
-                let base = tid as u64 * lb;
-                if addr + size as u64 > lb {
-                    return Err(FaultKind::OutOfBounds {
-                        space: Space::Local,
-                        addr,
-                        size,
-                        limit: lb,
-                    });
-                }
-                write_bytes(&mut self.local, base + addr, size, value, Space::Local)
-            }
+            Space::Local => self.local_write(tid, addr, size, value),
             Space::Const => Err(FaultKind::ReadOnly(Space::Const)),
             Space::Param => Err(FaultKind::ReadOnly(Space::Param)),
         }
     }
 
+    /// Bounds check of a per-thread local access against `local_bytes`;
+    /// returns the byte offset of `tid`'s slot in the block's local image.
+    fn local_offset(&self, tid: u32, addr: u64, size: u32) -> Result<u64, FaultKind> {
+        let lb = self.kernel.kernel.local_bytes as u64;
+        if addr + size as u64 > lb {
+            return Err(FaultKind::OutOfBounds {
+                space: Space::Local,
+                addr,
+                size,
+                limit: lb,
+            });
+        }
+        Ok(tid as u64 * lb + addr)
+    }
+
+    fn local_read(&self, tid: u32, addr: u64, size: u32) -> Result<u64, FaultKind> {
+        let at = self.local_offset(tid, addr, size)?;
+        read_bytes(&self.local, at, size, Space::Local)
+    }
+
+    fn local_write(&mut self, tid: u32, addr: u64, size: u32, value: u64) -> Result<(), FaultKind> {
+        let at = self.local_offset(tid, addr, size)?;
+        write_bytes(&mut self.local, at, size, value, Space::Local)
+    }
+
     // ------------------------------------------------------------------
-    // Operand / register plumbing
+    // Operand / register plumbing (the reference interpreter's per-lane
+    // view; the decoded tier reads whole lane slices through `LaneFile`)
     // ------------------------------------------------------------------
 
     #[inline]
     fn get_reg(&self, tid: u32, r: Reg) -> u64 {
-        self.regs[(tid as usize) * self.kernel.kernel.regs.len() + r.index()]
+        self.file.get(r.0, tid)
     }
 
     #[inline]
     fn set_reg(&mut self, tid: u32, r: Reg, v: u64) {
-        let n = self.kernel.kernel.regs.len();
-        self.regs[(tid as usize) * n + r.index()] = v;
+        self.file.set(r.0, tid, v);
     }
 
     /// Evaluate an operand in the context of type `ty`, returning raw bits.
@@ -1519,34 +1561,8 @@ impl<'a> BlockExec<'a> {
                 }
             }
             Operand::ImmF(v) => float_bits(ty, v),
-            Operand::Special(s) => self.special(tid, ctaid, s),
+            Operand::Special(s) => self.file.special(tid, ctaid, s),
         }
-    }
-
-    pub(crate) fn special(&self, tid: u32, ctaid: Dim3, s: Special) -> u64 {
-        let b = self.block;
-        let tz = tid / (b.x * b.y);
-        let rem = tid % (b.x * b.y);
-        let ty_ = rem / b.x;
-        let tx = rem % b.x;
-        let ww = self.device.warp_width;
-        (match s {
-            Special::TidX => tx,
-            Special::TidY => ty_,
-            Special::TidZ => tz,
-            Special::NtidX => b.x,
-            Special::NtidY => b.y,
-            Special::NtidZ => b.z,
-            Special::CtaidX => ctaid.x,
-            Special::CtaidY => ctaid.y,
-            Special::CtaidZ => ctaid.z,
-            Special::NctaidX => self.grid.x,
-            Special::NctaidY => self.grid.y,
-            Special::NctaidZ => self.grid.z,
-            Special::LaneId => tid % ww,
-            Special::WarpId => tid / ww,
-            Special::WarpSize => ww,
-        }) as u64
     }
 
     /// Mask of active lanes whose predicate register `p` equals `polarity`.
@@ -1565,5 +1581,188 @@ impl<'a> BlockExec<'a> {
             }
         }
         mask
+    }
+}
+
+/// The lanes of one warp taking part in a warp-wide operation.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct WarpLanes {
+    /// Linear tid of lane 0.
+    pub(crate) base: usize,
+    /// Lanes that exist: the length of every lane slice.
+    pub(crate) n: usize,
+    /// Active lanes.
+    pub(crate) active: u64,
+    /// Existing lanes (the low `n` bits).
+    pub(crate) full: u64,
+    pub(crate) ctaid: Dim3,
+}
+
+/// The set lanes of `mask`, ascending: active lanes in lane order.
+#[inline]
+pub(crate) fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane
+        })
+    })
+}
+
+/// Lane buffers of one warp instruction, reused for every instruction of a
+/// launch and never re-zeroed: operand slices with no home in the register
+/// file (immediates, special registers, copies a memory op keeps while it
+/// writes registers) and the result slice.
+pub(crate) struct LaneBufs {
+    pub(crate) a: [u64; 64],
+    pub(crate) b: [u64; 64],
+    pub(crate) c: [u64; 64],
+    pub(crate) out: [u64; 64],
+}
+
+/// A block's register file plus what a warp-wide operand fetch needs to
+/// produce special registers.
+pub(crate) struct LaneFile {
+    /// Slot-major: `regs[slot * threads + tid]`, so one register of one
+    /// warp is a contiguous lane slice.
+    regs: Vec<u64>,
+    /// Threads per block: the stride between register slots.
+    threads: usize,
+    block: Dim3,
+    grid: Dim3,
+    warp_width: u32,
+}
+
+impl LaneFile {
+    fn new(block: Dim3, grid: Dim3, warp_width: u32) -> Self {
+        LaneFile {
+            regs: Vec::new(),
+            threads: block.count() as usize,
+            block,
+            grid,
+            warp_width,
+        }
+    }
+
+    /// Zero the register file for a block of a kernel with `nregs` slots.
+    fn reset(&mut self, nregs: usize) {
+        self.regs.clear();
+        self.regs.resize(nregs.max(1) * self.threads, 0);
+    }
+
+    #[inline]
+    pub(crate) fn get(&self, slot: u32, tid: u32) -> u64 {
+        self.regs[slot as usize * self.threads + tid as usize]
+    }
+
+    #[inline]
+    pub(crate) fn set(&mut self, slot: u32, tid: u32, v: u64) {
+        self.regs[slot as usize * self.threads + tid as usize] = v;
+    }
+
+    /// Register `slot` of the warp `v`, one entry per existing lane.
+    #[inline]
+    pub(crate) fn lanes(&self, slot: u32, v: WarpLanes) -> &[u64] {
+        let at = slot as usize * self.threads + v.base;
+        &self.regs[at..at + v.n]
+    }
+
+    /// Write `out` into register `slot` for the active lanes of `v`.
+    #[inline]
+    pub(crate) fn write_back(&mut self, slot: u32, v: WarpLanes, out: &[u64; 64]) {
+        let at = slot as usize * self.threads + v.base;
+        let dst = &mut self.regs[at..at + v.n];
+        if v.active == v.full {
+            dst.copy_from_slice(&out[..v.n]);
+        } else {
+            for lane in lanes_of(v.active) {
+                dst[lane] = out[lane];
+            }
+        }
+    }
+
+    /// The lane slice of operand `src` for warp `v`: a register is read in
+    /// place, anything else is produced into `buf` by [`LaneFile::load`].
+    #[inline]
+    pub(crate) fn fetch<'s>(
+        &'s self,
+        v: WarpLanes,
+        src: DSrc,
+        buf: &'s mut [u64; 64],
+    ) -> &'s [u64] {
+        match src {
+            DSrc::Reg(slot) => self.lanes(slot, v),
+            _ => {
+                self.load(v, src, buf);
+                &buf[..v.n]
+            }
+        }
+    }
+
+    /// The lanes of operand `src` for warp `v`, written into `buf`:
+    /// registers copied, immediates and warp-uniform specials broadcast,
+    /// `%laneid` counted, and `%tid.*` walked from the warp's first thread
+    /// — two divides per warp where the per-lane path pays two to four per
+    /// lane.
+    #[inline]
+    pub(crate) fn load(&self, v: WarpLanes, src: DSrc, buf: &mut [u64; 64]) {
+        let out = &mut buf[..v.n];
+        let axis = match src {
+            DSrc::Reg(slot) => return out.copy_from_slice(self.lanes(slot, v)),
+            DSrc::Imm(bits) => return out.fill(bits),
+            DSrc::Special(Special::LaneId) => {
+                for (lane, o) in out.iter_mut().enumerate() {
+                    *o = lane as u64;
+                }
+                return;
+            }
+            DSrc::Special(Special::TidX) => 0,
+            DSrc::Special(Special::TidY) => 1,
+            DSrc::Special(Special::TidZ) => 2,
+            DSrc::Special(s) => return out.fill(self.special(v.base as u32, v.ctaid, s)),
+        };
+        let (b, t0) = (self.block, v.base as u32);
+        let mut t = [t0 % b.x, t0 / b.x % b.y, t0 / (b.x * b.y)];
+        for o in out {
+            *o = t[axis] as u64;
+            t[0] += 1;
+            if t[0] == b.x {
+                t[0] = 0;
+                t[1] += 1;
+                if t[1] == b.y {
+                    t[1] = 0;
+                    t[2] += 1;
+                }
+            }
+        }
+    }
+
+    /// The value of special register `s` for thread `tid` of block
+    /// `ctaid`: the reference interpreter's per-lane path.
+    pub(crate) fn special(&self, tid: u32, ctaid: Dim3, s: Special) -> u64 {
+        let b = self.block;
+        let tz = tid / (b.x * b.y);
+        let rem = tid % (b.x * b.y);
+        let ty_ = rem / b.x;
+        let tx = rem % b.x;
+        let ww = self.warp_width;
+        (match s {
+            Special::TidX => tx,
+            Special::TidY => ty_,
+            Special::TidZ => tz,
+            Special::NtidX => b.x,
+            Special::NtidY => b.y,
+            Special::NtidZ => b.z,
+            Special::CtaidX => ctaid.x,
+            Special::CtaidY => ctaid.y,
+            Special::CtaidZ => ctaid.z,
+            Special::NctaidX => self.grid.x,
+            Special::NctaidY => self.grid.y,
+            Special::NctaidZ => self.grid.z,
+            Special::LaneId => tid % ww,
+            Special::WarpId => tid / ww,
+            Special::WarpSize => ww,
+        }) as u64
     }
 }

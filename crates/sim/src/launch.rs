@@ -295,8 +295,8 @@ pub fn launch_with(
     launch_with_code(device, kernel, gmem, const_bank, cfg, opts, None)
 }
 
-/// [`launch_with`] with an optional pre-decoded kernel. On the decoded and
-/// fused tiers ([`ExecOptions::tier`]), passing `Some` reuses an existing
+/// [`launch_with`] with an optional pre-decoded kernel. On the decoded
+/// tier ([`ExecOptions::tier`]), passing `Some` reuses an existing
 /// [`DecodedKernel`] (e.g. from the runtime's per-session code cache)
 /// instead of decoding on every launch; `None` decodes on the fly. The
 /// decoded kernel must come from this `kernel` and `device` — the runtime

@@ -1,21 +1,176 @@
 //! Device global memory: a flat byte array with a bump allocator, plus the
 //! copy-on-write page overlay that gives each thread block a private view
-//! of global memory during parallel block execution.
+//! of global memory during parallel block execution, and the pure
+//! address arithmetic of the memory cost model (coalescing segments and
+//! shared-memory bank conflicts).
 
 use crate::error::{FaultKind, SimError};
 use gpucmp_ptx::Space;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Natural-alignment check for a device access: every 2/4/8-byte access
 /// must be aligned to its own size, as on real GPU hardware.
 #[inline]
 pub(crate) fn check_aligned(space: Space, addr: u64, size: u32) -> Result<(), FaultKind> {
-    if size > 1 && addr % size as u64 != 0 {
+    debug_assert!(size.is_power_of_two(), "access size {size}");
+    if addr & (size as u64 - 1) != 0 {
         Err(FaultKind::Misaligned { space, addr, size })
     } else {
         Ok(())
     }
+}
+
+/// Division and remainder by a device constant: a shift and a mask when it
+/// is a power of two (segment sizes, cache lines and bank counts of every
+/// preset device), a hardware divide otherwise.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Divisor {
+    d: u64,
+    shift: u32,
+    pow2: bool,
+}
+
+impl Divisor {
+    pub(crate) fn new(d: u64) -> Self {
+        Divisor {
+            d,
+            shift: d.trailing_zeros(),
+            pow2: d.is_power_of_two(),
+        }
+    }
+
+    /// The divisor itself.
+    #[inline]
+    pub(crate) fn get(self) -> u64 {
+        self.d
+    }
+
+    #[inline]
+    pub(crate) fn div(self, x: u64) -> u64 {
+        if self.pow2 {
+            x >> self.shift
+        } else {
+            x / self.d
+        }
+    }
+
+    #[inline]
+    pub(crate) fn rem(self, x: u64) -> u64 {
+        if self.pow2 {
+            x & (self.d - 1)
+        } else {
+            x % self.d
+        }
+    }
+}
+
+/// Collect `values` into `out` as an ascending list of distinct values.
+/// O(n) when they arrive in ascending order — a warp touching
+/// consecutive addresses, the common case — and a sort otherwise.
+pub(crate) fn distinct_ascending(values: impl IntoIterator<Item = u64>, out: &mut Vec<u64>) {
+    out.clear();
+    let mut sorted = true;
+    for v in values {
+        if let Some(&last) = out.last() {
+            if v == last {
+                continue;
+            }
+            sorted &= v > last;
+        }
+        out.push(v);
+    }
+    if !sorted {
+        out.sort_unstable();
+        out.dedup();
+    }
+}
+
+/// The distinct `seg`-byte segments touched by one coalesce group of
+/// `size`-byte lane accesses (every byte counts, so a straddling access
+/// touches two), ascending, into `out`.
+pub(crate) fn coalesce_segments(lanes: &[(u32, u64)], size: u32, seg: Divisor, out: &mut Vec<u64>) {
+    distinct_ascending(
+        lanes
+            .iter()
+            .flat_map(|&(_, a)| seg.div(a)..=seg.div(a + size as u64 - 1)),
+        out,
+    );
+}
+
+/// Bank-conflict degree of one shared-memory banking group: the largest
+/// number of distinct 4-byte words any one bank must serve. Each bank keeps
+/// a chain of the distinct words it has seen, threaded through the lane
+/// indices (`lane_words` holds each chained lane's word), so the cost is
+/// O(lanes x degree): O(lanes) for broadcast and unit-stride access, the
+/// common cases. More than 64 banks or lanes falls back to
+/// [`bank_conflict_degree_sorted`] with `pairs` as scratch.
+pub(crate) fn bank_conflict_degree(
+    lanes: &[(u32, u64)],
+    banks: Divisor,
+    lane_words: &mut [u64; 64],
+    pairs: &mut Vec<(u64, u64)>,
+) -> u64 {
+    if banks.get() <= 1 {
+        return 1;
+    }
+    if banks.get() > 64 || lanes.len() > 64 {
+        return bank_conflict_degree_sorted(lanes, banks, pairs);
+    }
+    const NONE: u8 = u8::MAX;
+    let mut head = [NONE; 64];
+    let mut next = [NONE; 64];
+    let mut count = [0u8; 64];
+    let mut degree = 1;
+    for (k, &(_, a)) in lanes.iter().enumerate() {
+        let word = a / 4;
+        let bank = banks.rem(word) as usize;
+        let mut j = head[bank];
+        while j != NONE && lane_words[j as usize] != word {
+            j = next[j as usize];
+        }
+        if j == NONE {
+            lane_words[k] = word;
+            next[k] = head[bank];
+            head[bank] = k as u8;
+            count[bank] += 1;
+            degree = degree.max(count[bank]);
+        }
+    }
+    degree as u64
+}
+
+/// [`bank_conflict_degree`] by sorting the (bank, word) pairs and counting
+/// the longest run of one bank: the fallback, and the reference the chained
+/// count is tested against.
+pub(crate) fn bank_conflict_degree_sorted(
+    lanes: &[(u32, u64)],
+    banks: Divisor,
+    pairs: &mut Vec<(u64, u64)>,
+) -> u64 {
+    let mut degree = 1u64;
+    if banks.get() > 1 {
+        pairs.clear();
+        pairs.extend(lanes.iter().map(|&(_, a)| {
+            let word = a / 4;
+            (banks.rem(word), word)
+        }));
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut run = 0u64;
+        let mut prev_bank = u64::MAX;
+        for &(bank, _) in pairs.iter() {
+            if bank == prev_bank {
+                run += 1;
+            } else {
+                run = 1;
+                prev_bank = bank;
+            }
+            degree = degree.max(run);
+        }
+    }
+    degree
 }
 
 /// A device pointer: a byte offset into the device's global memory.
@@ -281,6 +436,34 @@ struct OverlayPage {
     dirty: [u64; DIRTY_WORDS],
 }
 
+/// Hasher for overlay page numbers: one multiply. Once a block has
+/// written, each lane of its global loads and stores hashes a page number,
+/// and SipHash made that a third of their cost. The keys are addresses the
+/// simulated kernel computes, so a colliding pattern can slow only its own
+/// launch. The rotate moves the well-mixed high half of the product into
+/// the low bits that pick a bucket, so power-of-two page strides (the rows
+/// of a transpose tile) still spread.
+#[derive(Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0 ^ x)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(32);
+    }
+}
+
 /// A per-block write overlay over a read-only [`GlobalMemory`] snapshot.
 ///
 /// During parallel block execution every block reads the launch-entry
@@ -293,7 +476,7 @@ struct OverlayPage {
 /// blocks are not ordered until the kernel completes.
 #[derive(Default)]
 pub struct WriteOverlay {
-    pages: HashMap<u64, OverlayPage>,
+    pages: HashMap<u64, OverlayPage, BuildHasherDefault<PageHasher>>,
 }
 
 impl WriteOverlay {
@@ -580,6 +763,107 @@ mod tests {
             target.read(edge + 24, 1).unwrap(),
             base.read(edge + 24, 1).unwrap()
         );
+    }
+
+    /// A tiny deterministic generator for the cost-model property tests.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            self.0 >> 33
+        }
+    }
+
+    /// Lane-address sets a warp produces: broadcast, strides of 1, 2 and 32
+    /// words (forwards and backwards), straddling accesses, and random
+    /// scatters, for groups of 16, 32 and 64 lanes.
+    fn lane_address_sets() -> Vec<(u32, Vec<(u32, u64)>)> {
+        let mut rng = Lcg(0x5eed);
+        let mut sets = Vec::new();
+        for lanes in [16u64, 32, 64] {
+            for size in [1u32, 2, 4, 8] {
+                let base = 4096 + rng.next() % 512 * size as u64;
+                let mut push = |f: &dyn Fn(u64) -> u64| {
+                    sets.push((size, (0..lanes).map(|l| (l as u32, f(l))).collect()));
+                };
+                push(&|_| base);
+                for stride_words in [1u64, 2, 32] {
+                    push(&|l| base + l * stride_words * 4);
+                    push(&|l| base + (lanes - 1 - l) * stride_words * 4);
+                }
+                // Unaligned starts straddle segment boundaries.
+                push(&|l| base + 61 + l * 3 * size as u64);
+                push(&|l| base + 127 + l * 64);
+                let scatter: Vec<u64> = (0..lanes).map(|_| rng.next() % 8192).collect();
+                push(&|l| scatter[l as usize]);
+                let few: Vec<u64> = (0..lanes).map(|_| base + rng.next() % 4 * 4).collect();
+                push(&|l| few[l as usize]);
+            }
+        }
+        sets
+    }
+
+    /// [`coalesce_segments`] by collecting every segment and sorting: the
+    /// reference the ascending pass is tested against.
+    fn coalesce_segments_sorted(lanes: &[(u32, u64)], size: u32, seg: Divisor) -> Vec<u64> {
+        let mut out = Vec::new();
+        for &(_, a) in lanes {
+            out.extend(seg.div(a)..=seg.div(a + size as u64 - 1));
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    #[test]
+    fn fast_coalescing_matches_the_sorted_count() {
+        for seg in [32u64, 64, 128, 96] {
+            let seg = Divisor::new(seg);
+            for (size, lanes) in lane_address_sets() {
+                let mut fast = Vec::new();
+                coalesce_segments(&lanes, size, seg, &mut fast);
+                assert_eq!(
+                    fast,
+                    coalesce_segments_sorted(&lanes, size, seg),
+                    "seg {} size {size} lanes {lanes:?}",
+                    seg.get()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn chained_bank_degree_matches_the_sorted_degree() {
+        let mut words = [0u64; 64];
+        let mut pairs = Vec::new();
+        let mut seen_degrees = std::collections::BTreeSet::new();
+        for banks in [1u64, 16, 32, 64, 24, 128] {
+            let banks = Divisor::new(banks);
+            for (_, lanes) in lane_address_sets() {
+                let fast = bank_conflict_degree(&lanes, banks, &mut words, &mut pairs);
+                let sorted = bank_conflict_degree_sorted(&lanes, banks, &mut pairs);
+                assert_eq!(fast, sorted, "banks {} lanes {lanes:?}", banks.get());
+                seen_degrees.insert(fast);
+            }
+        }
+        // Conflict-free and conflicting groups, and the sorting fallback
+        // (128 banks), all ran.
+        assert!(seen_degrees.contains(&1) && seen_degrees.len() > 3);
+    }
+
+    #[test]
+    fn divisor_matches_hardware_division() {
+        for d in [1u64, 2, 4, 32, 64, 128, 3, 6, 96] {
+            let div = Divisor::new(d);
+            for x in [0u64, 1, 31, 32, 33, 127, 128, 1 << 40, u64::MAX] {
+                assert_eq!(div.div(x), x / d);
+                assert_eq!(div.rem(x), x % d);
+            }
+        }
     }
 
     #[test]

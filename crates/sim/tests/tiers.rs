@@ -1,16 +1,17 @@
-//! Differential tests for the execution tiers: interp vs decoded vs fused
-//! must produce bit-identical launch results — statistics, virtual timing,
-//! fault kinds and sites, and memcheck records.
+//! Differential tests for the execution tiers: the warp-wide decoded tier
+//! must match the reference interpreter bit for bit — statistics, virtual
+//! timing, fault kinds and sites, and memcheck records — including at the
+//! warp edges: partial warps, divergent masks, 2-D blocks, 64-wide devices.
 
 use gpucmp_ptx::{Address, CmpOp, KernelBuilder, Op1, Op2, Op3, Operand, Space, Special, Ty};
 use gpucmp_sim::{
-    decode_kernel, launch_with, launch_with_code, DeviceSpec, ExecOptions, ExecTier, FaultKind,
-    GlobalMemory, LaunchConfig, SimError,
+    decode_kernel, launch_with, launch_with_code, DeviceFault, DeviceSpec, Dim3, ExecOptions,
+    ExecTier, FaultKind, GlobalMemory, LaunchConfig, SimError,
 };
 
-/// A kernel exercising every tier-relevant construct: scalar runs (fusible),
-/// integer division (fallible, unfusible), divergence with reconvergence,
-/// shared memory with a barrier, and global loads/stores.
+/// A kernel exercising every tier-relevant construct: straight-line scalar
+/// code, integer division (the fallible scalar op), divergence with
+/// reconvergence, shared memory with a barrier, and global loads/stores.
 fn mixed_kernel() -> gpucmp_ptx::Kernel {
     let mut b = KernelBuilder::new("mixed");
     b.param("x", Ty::U64);
@@ -26,7 +27,7 @@ fn mixed_kernel() -> gpucmp_ptx::Kernel {
     let end = b.new_label();
     b.ssy(end);
     b.bra_if(end, p, true);
-    // Fusible scalar run: cvt, shifts, float math.
+    // Straight-line scalar code: cvt, shifts, float math.
     let xptr = b.ld_param(0, Ty::U64);
     let yptr = b.ld_param(1, Ty::U64);
     let off64 = b.cvt(Ty::U64, Ty::U32, gid);
@@ -34,7 +35,7 @@ fn mixed_kernel() -> gpucmp_ptx::Kernel {
     let xa = b.bin(Op2::Add, Ty::U64, xptr, off);
     let _ya = b.bin(Op2::Add, Ty::U64, yptr, off); // extends the scalar run
     let xv = b.ld(Space::Global, Ty::F32, Address::base(Operand::Reg(xa)));
-    // Unfusible integer division in the middle of scalar code.
+    // Integer division in the middle of scalar code.
     let three = b.mov(Ty::S32, 3i32);
     let q = b.bin(Op2::Div, Ty::S32, gid, three);
     let qf = b.cvt(Ty::F32, Ty::S32, q);
@@ -79,24 +80,45 @@ struct Outcome {
 }
 
 fn run_tier(tier: ExecTier, threads: usize, memcheck: bool, n: usize) -> Outcome {
-    let device = DeviceSpec::gtx480();
+    run_shape(&DeviceSpec::gtx480(), tier, threads, memcheck, 8, 256, n)
+}
+
+/// [`mixed_kernel`] on `device` with `grid` blocks of `block` threads over
+/// `n` elements.
+fn run_shape(
+    device: &DeviceSpec,
+    tier: ExecTier,
+    threads: usize,
+    memcheck: bool,
+    grid: u32,
+    block: u32,
+    n: usize,
+) -> Outcome {
     let kernel = mixed_kernel().resolve().unwrap();
     let mut gmem = GlobalMemory::new(1 << 20);
     let x = gmem.alloc((n * 4) as u64).unwrap();
     let y = gmem.alloc((n * 4) as u64).unwrap();
     let xs: Vec<f32> = (0..n).map(|i| (i % 131) as f32 * 0.25 + 1.0).collect();
     gmem.write_f32_slice(x, &xs).unwrap();
-    let cfg = LaunchConfig::new(8u32, 256u32)
+    let cfg = LaunchConfig::new(grid, block)
         .arg_ptr(x)
         .arg_ptr(y)
         .arg_i32(n as i32);
     let opts = ExecOptions::with_threads(threads)
         .memcheck(memcheck)
         .tier(tier);
-    let report = launch_with(&device, &kernel, &mut gmem, &[], &cfg, &opts).unwrap();
+    let report = launch_with(device, &kernel, &mut gmem, &[], &cfg, &opts).unwrap();
     Outcome {
         out: gmem.read_f32_slice(y, n).unwrap(),
         report,
+    }
+}
+
+/// The fault of a launch that must abort.
+fn fault_of(r: Result<gpucmp_sim::LaunchReport, SimError>) -> DeviceFault {
+    match r {
+        Err(SimError::Fault(f)) => f,
+        other => panic!("expected a device fault, got {other:?}"),
     }
 }
 
@@ -104,25 +126,23 @@ fn run_tier(tier: ExecTier, threads: usize, memcheck: bool, n: usize) -> Outcome
 fn tiers_produce_bit_identical_reports() {
     for &threads in &[1usize, 8] {
         let base = run_tier(ExecTier::Interp, threads, false, 1900);
-        for tier in [ExecTier::Decoded, ExecTier::Fused] {
-            let got = run_tier(tier, threads, false, 1900);
-            assert_eq!(got.out, base.out, "{tier:?} memory @ {threads} threads");
-            assert_eq!(
-                got.report.stats, base.report.stats,
-                "{tier:?} stats @ {threads} threads"
-            );
-            assert_eq!(
-                got.report.kernel_ns(),
-                base.report.kernel_ns(),
-                "{tier:?} timing @ {threads} threads"
-            );
-        }
+        let got = run_tier(ExecTier::Decoded, threads, false, 1900);
+        assert_eq!(got.out, base.out, "memory @ {threads} threads");
+        assert_eq!(
+            got.report.stats, base.report.stats,
+            "stats @ {threads} threads"
+        );
+        assert_eq!(
+            got.report.kernel_ns(),
+            base.report.kernel_ns(),
+            "timing @ {threads} threads"
+        );
     }
 }
 
 #[test]
 fn tiers_record_identical_memcheck_faults() {
-    // Undersized buffers: every tier must log the same access faults in the
+    // Undersized buffers: both tiers must log the same access faults in the
     // same order and still complete the launch.
     let device = DeviceSpec::gtx480();
     let kernel = mixed_kernel().resolve().unwrap();
@@ -139,17 +159,15 @@ fn tiers_record_identical_memcheck_faults() {
     };
     let base = run(ExecTier::Interp);
     assert!(!base.faults.is_empty(), "test must exercise memcheck");
-    for tier in [ExecTier::Decoded, ExecTier::Fused] {
-        let got = run(tier);
-        assert_eq!(got.faults, base.faults, "{tier:?} memcheck records");
-        assert_eq!(got.stats, base.stats, "{tier:?} stats under memcheck");
-    }
+    let got = run(ExecTier::Decoded);
+    assert_eq!(got.faults, base.faults, "memcheck records");
+    assert_eq!(got.stats, base.stats, "stats under memcheck");
 }
 
 #[test]
 fn tiers_report_identical_fault_sites() {
     // Aborting faults must carry the same kind and the same (pc, block,
-    // thread) site on every tier — orig_pc attribution through the IR.
+    // thread) site on both tiers — orig_pc attribution through the IR.
     let device = DeviceSpec::gtx480();
     let kernel = mixed_kernel().resolve().unwrap();
     let run = |tier: ExecTier| {
@@ -161,25 +179,17 @@ fn tiers_report_identical_fault_sites() {
             .arg_ptr(y)
             .arg_i32(4096);
         let opts = ExecOptions::serial().tier(tier);
-        launch_with(&device, &kernel, &mut gmem, &[], &cfg, &opts).unwrap_err()
+        fault_of(launch_with(&device, &kernel, &mut gmem, &[], &cfg, &opts))
     };
-    let base = match run(ExecTier::Interp) {
-        SimError::Fault(f) => f,
-        other => panic!("expected fault, got {other:?}"),
-    };
+    let base = run(ExecTier::Interp);
     assert!(matches!(base.kind, FaultKind::OutOfBounds { .. }));
-    for tier in [ExecTier::Decoded, ExecTier::Fused] {
-        match run(tier) {
-            SimError::Fault(f) => assert_eq!(f, base, "{tier:?} fault"),
-            other => panic!("{tier:?}: expected fault, got {other:?}"),
-        }
-    }
+    assert_eq!(run(ExecTier::Decoded), base);
 }
 
 #[test]
 fn watchdog_fires_at_the_same_instruction_on_every_tier() {
-    // An infinite loop with a tiny budget: the fused tier must degrade to
-    // single-stepping and exhaust the budget at the interp-identical pc.
+    // An infinite loop with a tiny budget: the decoded tier must exhaust
+    // the budget at the interp-identical pc.
     let mut b = KernelBuilder::new("spin");
     let one = b.mov(Ty::S32, 1i32);
     let top = b.new_label();
@@ -197,20 +207,12 @@ fn watchdog_fires_at_the_same_instruction_on_every_tier() {
             .inst_budget(100)
             .build();
         let opts = ExecOptions::serial().tier(tier);
-        launch_with(&device, &kernel, &mut gmem, &[], &cfg, &opts).unwrap_err()
+        fault_of(launch_with(&device, &kernel, &mut gmem, &[], &cfg, &opts))
     };
-    let base = match run(ExecTier::Interp) {
-        SimError::Fault(f) => f,
-        other => panic!("expected watchdog, got {other:?}"),
-    };
+    let base = run(ExecTier::Interp);
     assert!(matches!(base.kind, FaultKind::Watchdog { budget: 100 }));
     assert!(base.site.is_some());
-    for tier in [ExecTier::Decoded, ExecTier::Fused] {
-        match run(tier) {
-            SimError::Fault(f) => assert_eq!(f, base, "{tier:?} watchdog"),
-            other => panic!("{tier:?}: expected watchdog, got {other:?}"),
-        }
-    }
+    assert_eq!(run(ExecTier::Decoded), base);
 }
 
 #[test]
@@ -220,7 +222,6 @@ fn precompiled_code_matches_on_the_fly_decode() {
     let device = DeviceSpec::gtx480();
     let kernel = mixed_kernel().resolve().unwrap();
     let code = decode_kernel(&kernel, &device);
-    assert!(code.fused_coverage() > 0, "kernel must have fusible runs");
     let run = |code: Option<&gpucmp_sim::DecodedKernel>| {
         let mut gmem = GlobalMemory::new(1 << 20);
         let x = gmem.alloc(4096).unwrap();
@@ -231,7 +232,7 @@ fn precompiled_code_matches_on_the_fly_decode() {
             .arg_ptr(x)
             .arg_ptr(y)
             .arg_i32(1024);
-        let opts = ExecOptions::serial().tier(ExecTier::Fused);
+        let opts = ExecOptions::serial().tier(ExecTier::Decoded);
         let r = launch_with_code(&device, &kernel, &mut gmem, &[], &cfg, &opts, code).unwrap();
         (gmem.read_f32_slice(y, 1024).unwrap(), r.stats)
     };
@@ -241,35 +242,145 @@ fn precompiled_code_matches_on_the_fly_decode() {
     assert_eq!(s1, s2);
 }
 
-#[test]
-fn divide_by_zero_faults_identically_across_tiers() {
-    // Integer division is the one fallible scalar op — excluded from
-    // fusion, so its fault site must match the interpreter exactly.
-    let mut b = KernelBuilder::new("divz");
-    b.param("n", Ty::S32);
+/// `q = 100 / (tid.x - 5)` for every thread, optionally skipping thread 5
+/// behind a divergent branch; `q` is stored to `out[tid]`.
+fn div_kernel(guard_lane_5: bool) -> gpucmp_ptx::Kernel {
+    let mut b = KernelBuilder::new("div5");
+    b.param("out", Ty::U64);
     let tid = b.special(Special::TidX);
-    let n = b.ld_param(0, Ty::S32);
-    let d = b.bin(Op2::Sub, Ty::S32, n, tid);
-    // faults when tid == n (lane n divides by zero)
-    let _ = b.bin(Op2::Div, Ty::S32, tid, d);
-    let kernel = b.finish().resolve().unwrap();
+    let d = b.bin(Op2::Sub, Ty::S32, tid, 5i32);
+    let q = b.mov(Ty::S32, -1i32);
+    let skip = b.new_label();
+    b.ssy(skip);
+    if guard_lane_5 {
+        let is5 = b.setp(CmpOp::Eq, Ty::S32, tid, 5i32);
+        b.bra_if(skip, is5, true);
+    }
+    let r = b.bin(Op2::Div, Ty::S32, 100i32, d);
+    b.mov_to(Ty::S32, q, r);
+    b.place_label(skip);
+    b.sync();
+    let out = b.ld_param(0, Ty::U64);
+    let t64 = b.cvt(Ty::U64, Ty::U32, tid);
+    let off = b.bin(Op2::Shl, Ty::U64, t64, 2i32);
+    let a = b.bin(Op2::Add, Ty::U64, out, off);
+    b.st(Space::Global, Ty::S32, Address::base(Operand::Reg(a)), q);
+    b.finish()
+}
+
+#[test]
+fn divide_by_zero_on_one_lane_faults_identically_across_tiers() {
+    // Integer division is the one fallible scalar op: the decoded tier runs
+    // it lane by lane, so the faulting thread must match the interpreter's.
+    let kernel = div_kernel(false).resolve().unwrap();
     let device = DeviceSpec::gtx480();
     let run = |tier: ExecTier| {
         let mut gmem = GlobalMemory::new(1 << 12);
-        let cfg = LaunchConfig::new(1u32, 64u32).arg_i32(17);
+        let out = gmem.alloc(64 * 4).unwrap();
+        let cfg = LaunchConfig::new(1u32, 64u32).arg_ptr(out);
         let opts = ExecOptions::serial().tier(tier);
-        launch_with(&device, &kernel, &mut gmem, &[], &cfg, &opts).unwrap_err()
+        fault_of(launch_with(&device, &kernel, &mut gmem, &[], &cfg, &opts))
     };
-    let base = match run(ExecTier::Interp) {
-        SimError::Fault(f) => f,
-        other => panic!("expected fault, got {other:?}"),
-    };
+    let base = run(ExecTier::Interp);
     assert!(matches!(base.kind, FaultKind::DivByZero));
-    assert_eq!(base.site.unwrap().thread, [17, 0, 0]);
-    for tier in [ExecTier::Decoded, ExecTier::Fused] {
-        match run(tier) {
-            SimError::Fault(f) => assert_eq!(f, base, "{tier:?} div-by-zero"),
-            other => panic!("{tier:?}: expected fault, got {other:?}"),
+    assert_eq!(base.site.unwrap().thread, [5, 0, 0]);
+    assert_eq!(run(ExecTier::Decoded), base);
+}
+
+#[test]
+fn an_inactive_lane_never_faults() {
+    // The same division with lane 5 branched around: its zero divisor sits
+    // in an inactive lane, which must neither fault nor be written.
+    let kernel = div_kernel(true).resolve().unwrap();
+    let device = DeviceSpec::gtx480();
+    let run = |tier: ExecTier| {
+        let mut gmem = GlobalMemory::new(1 << 12);
+        let out = gmem.alloc(64 * 4).unwrap();
+        let cfg = LaunchConfig::new(1u32, 64u32).arg_ptr(out);
+        let opts = ExecOptions::serial().tier(tier);
+        let r = launch_with(&device, &kernel, &mut gmem, &[], &cfg, &opts).unwrap();
+        (gmem.read_i32_slice(out, 64).unwrap(), r.stats)
+    };
+    let (out, stats) = run(ExecTier::Interp);
+    assert_eq!(out[5], -1);
+    assert_eq!(out[6], 100);
+    assert_eq!(out[4], -100);
+    assert_eq!(run(ExecTier::Decoded), (out, stats));
+}
+
+#[test]
+fn partial_warps_and_divergent_masks_match() {
+    // Blocks of 4, 33 and 100 threads leave a partial last warp; element
+    // counts that are not a multiple of the block make the bounds check
+    // diverge inside a warp.
+    let device = DeviceSpec::gtx480();
+    for (grid, block, n) in [(5u32, 4u32, 17usize), (3, 33, 90), (4, 100, 333)] {
+        let base = run_shape(&device, ExecTier::Interp, 1, false, grid, block, n);
+        let got = run_shape(&device, ExecTier::Decoded, 1, false, grid, block, n);
+        assert!(base.report.stats.divergent_branches > 0, "block {block}");
+        assert_eq!(got.out, base.out, "memory, block {block}");
+        assert_eq!(got.report.stats, base.report.stats, "stats, block {block}");
+    }
+}
+
+#[test]
+fn sixty_four_wide_device_matches() {
+    // A 64-lane wavefront: full masks, a partial 36-lane warp (block 100)
+    // and divergence across the 32-lane halves.
+    let device = DeviceSpec::hd5870();
+    assert_eq!(device.warp_width, 64);
+    for (grid, block, n) in [(4u32, 64u32, 200usize), (3, 100, 250)] {
+        for threads in [1usize, 8] {
+            let base = run_shape(&device, ExecTier::Interp, threads, false, grid, block, n);
+            let got = run_shape(&device, ExecTier::Decoded, threads, false, grid, block, n);
+            assert_eq!(got.out, base.out, "memory, block {block}");
+            assert_eq!(got.report.stats, base.report.stats, "stats, block {block}");
         }
+    }
+}
+
+#[test]
+fn two_dimensional_blocks_read_tid_y_identically() {
+    // Every thread writes its coordinates, tid.z * 10000 + tid.y * 100 +
+    // tid.x, xor-ed with its warp and lane ids in the high bits, to its
+    // linear slot — on blocks whose rows are not a warp multiple.
+    let mut b = KernelBuilder::new("tid2d");
+    b.param("out", Ty::U64);
+    let tx = b.special(Special::TidX);
+    let ty = b.special(Special::TidY);
+    let tz = b.special(Special::TidZ);
+    let nx = b.special(Special::NtidX);
+    let ny = b.special(Special::NtidY);
+    let lane = b.special(Special::LaneId);
+    let warp = b.special(Special::WarpId);
+    let row = b.tern(Op3::Mad, Ty::U32, tz, ny, ty);
+    let linear = b.tern(Op3::Mad, Ty::U32, row, nx, tx);
+    let yz = b.tern(Op3::Mad, Ty::U32, tz, 100i32, ty);
+    let v = b.tern(Op3::Mad, Ty::U32, yz, 100i32, tx);
+    let lw = b.tern(Op3::Mad, Ty::U32, warp, 1000i32, lane);
+    let hi = b.bin(Op2::Shl, Ty::U32, lw, 20i32);
+    let v = b.bin(Op2::Xor, Ty::U32, v, hi);
+    let out = b.ld_param(0, Ty::U64);
+    let l64 = b.cvt(Ty::U64, Ty::U32, linear);
+    let off = b.bin(Op2::Shl, Ty::U64, l64, 2i32);
+    let a = b.bin(Op2::Add, Ty::U64, out, off);
+    b.st(Space::Global, Ty::U32, Address::base(Operand::Reg(a)), v);
+    let kernel = b.finish().resolve().unwrap();
+    for block in [(5u32, 7u32, 1u32), (8, 4, 3), (3, 3, 3)] {
+        let count = (block.0 * block.1 * block.2) as usize;
+        let run = |tier: ExecTier| {
+            let mut gmem = GlobalMemory::new(1 << 12);
+            let out = gmem.alloc(count as u64 * 4).unwrap();
+            let cfg = LaunchConfig::new(1u32, Dim3::new(block.0, block.1, block.2)).arg_ptr(out);
+            let opts = ExecOptions::serial().tier(tier);
+            let r =
+                launch_with(&DeviceSpec::gtx480(), &kernel, &mut gmem, &[], &cfg, &opts).unwrap();
+            (gmem.read_u32_slice(out, count).unwrap(), r.stats)
+        };
+        let base = run(ExecTier::Interp);
+        // Thread (x=1, y=2, z=0) writes its own coordinates.
+        let t = 2 * block.0 as usize + 1;
+        assert_eq!(base.0[t] & 0xfffff, 201, "block {block:?}");
+        assert_eq!(run(ExecTier::Decoded), base, "block {block:?}");
     }
 }

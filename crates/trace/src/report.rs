@@ -92,26 +92,19 @@ pub struct PrEntry {
 }
 
 /// Host wall-clock of one benchmark simulated under each execution tier
-/// (interpreter / pre-decoded / fused). The simulated reports are
-/// bit-identical across tiers; only the host time to produce them moves.
+/// (interpreter / decoded). The simulated reports are bit-identical
+/// across tiers; only the host time to produce them moves.
 #[derive(Clone, Debug)]
 pub struct SimSpeed {
     /// Benchmark name.
     pub bench: String,
     /// Host execution+merge time under the interpreter tier, ns.
     pub interp_ns: u64,
-    /// Host execution+merge time under the pre-decoded tier, ns.
+    /// Host execution+merge time under the decoded tier, ns.
     pub decoded_ns: u64,
-    /// Host execution+merge time under the fused tier, ns.
-    pub fused_ns: u64,
 }
 
 impl SimSpeed {
-    /// Interpreter / fused host wall-clock ratio.
-    pub fn fused_speedup(&self) -> f64 {
-        self.interp_ns as f64 / (self.fused_ns.max(1)) as f64
-    }
-
     /// Interpreter / decoded host wall-clock ratio.
     pub fn decoded_speedup(&self) -> f64 {
         self.interp_ns as f64 / (self.decoded_ns.max(1)) as f64
@@ -223,7 +216,6 @@ impl BenchReport {
                     ("bench", s.bench.as_str().into()),
                     ("interp_ns", s.interp_ns.into()),
                     ("decoded_ns", s.decoded_ns.into()),
-                    ("fused_ns", s.fused_ns.into()),
                 ])
             })
             .collect();
@@ -352,7 +344,8 @@ impl BenchReport {
                     .to_string(),
             });
         }
-        // pre-v4 reports predate the tier speed matrix: empty
+        // pre-v4 reports predate the tier speed matrix: empty. Rows written
+        // while a third tier existed also carry `fused_ns`, which is ignored.
         let mut sim_speed = Vec::new();
         if let Some(entries) = doc.get("sim_speed").and_then(Json::as_arr) {
             for s in entries {
@@ -365,7 +358,6 @@ impl BenchReport {
                         .to_string(),
                     interp_ns: num("interp_ns"),
                     decoded_ns: num("decoded_ns"),
-                    fused_ns: num("fused_ns"),
                 });
             }
         }
@@ -491,8 +483,7 @@ mod tests {
             sim_speed: vec![SimSpeed {
                 bench: "BFS".into(),
                 interp_ns: 9_000_000,
-                decoded_ns: 6_000_000,
-                fused_ns: 3_000_000,
+                decoded_ns: 3_000_000,
             }],
         };
         let parsed = BenchReport::from_text(&report.to_text()).unwrap();
@@ -514,9 +505,23 @@ mod tests {
         assert_eq!(parsed.sim_speed.len(), 1);
         assert_eq!(parsed.sim_speed[0].bench, "BFS");
         assert_eq!(parsed.sim_speed[0].interp_ns, 9_000_000);
-        assert_eq!(parsed.sim_speed[0].fused_ns, 3_000_000);
-        assert!((parsed.sim_speed[0].fused_speedup() - 3.0).abs() < 1e-9);
-        assert!((parsed.sim_speed[0].decoded_speedup() - 1.5).abs() < 1e-9);
+        assert_eq!(parsed.sim_speed[0].decoded_ns, 3_000_000);
+        assert!((parsed.sim_speed[0].decoded_speedup() - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn v4_reports_with_a_fused_column_still_parse() {
+        let text = r#"{"schema":4,"scale":"quick","fault_seed":null,
+            "runs":[],"prs":[],
+            "sim_speed":[{"bench":"MxM","interp_ns":9000000,
+                          "decoded_ns":6000000,"fused_ns":3000000}]}"#;
+        let parsed = BenchReport::from_text(text).unwrap();
+        assert_eq!(parsed.sim_speed.len(), 1);
+        assert_eq!(parsed.sim_speed[0].bench, "MxM");
+        assert_eq!(parsed.sim_speed[0].interp_ns, 9_000_000);
+        assert_eq!(parsed.sim_speed[0].decoded_ns, 6_000_000);
+        // Written back, the report carries no fused column.
+        assert!(!parsed.to_text().contains("fused_ns"));
     }
 
     #[test]
