@@ -89,7 +89,7 @@ impl RunOutput {
 }
 
 /// Problem-size scale: `Quick` for unit tests (debug builds), `Paper` for
-/// the experiment harness and benches.
+/// the experiment harness.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Scale {
     /// Small inputs, fast in debug builds.

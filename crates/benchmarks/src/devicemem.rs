@@ -87,9 +87,7 @@ impl Benchmark for DeviceMemory {
         let output = gpu.alloc::<f32>(threads)?;
         // A compressible pattern keeps the CPU reference cheap: in[i] = 1.0.
         gpu.h2d_buf(&input, &vec![1.0f32; n])?;
-        let cfg = LaunchConfig::builder()
-            .grid(self.blocks)
-            .block(self.block_size)
+        let cfg = LaunchConfig::new(self.blocks, self.block_size)
             .arg_ptr(input)
             .arg_ptr(output)
             .arg_i32(self.iters);

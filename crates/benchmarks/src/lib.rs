@@ -12,6 +12,8 @@
 //! the warp-size-dependent radix sort *intentionally* fails verification
 //! on 64-wide wavefront devices (the paper's Table VI "FL").
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod bfs;
 pub mod common;
 pub mod devicemem;

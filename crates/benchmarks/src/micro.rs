@@ -92,13 +92,10 @@ impl Benchmark for AtomHist {
             .collect();
         gpu.h2d_buf(&keys, &data)?;
         gpu.h2d_buf(&hist, &[0i32; BINS])?;
-        let cfg = LaunchConfig::builder()
-            .grid(self.n.div_ceil(self.block_size))
-            .block(self.block_size)
+        let cfg = LaunchConfig::new(self.n.div_ceil(self.block_size), self.block_size)
             .arg_ptr(keys)
             .arg_ptr(hist)
-            .arg_i32(n as i32)
-            .build();
+            .arg_i32(n as i32);
         let w = Window::open(gpu);
         let l = gpu.launch(h, &cfg)?;
         let (wall_ns, kernel_ns, launches) = w.close(gpu);
@@ -185,12 +182,9 @@ impl Benchmark for SharedRot {
         let mut r = rng(0x5807);
         let data: Vec<i32> = (0..n).map(|_| r.gen_range(-1000..1000)).collect();
         gpu.h2d_buf(&input, &data)?;
-        let cfg = LaunchConfig::builder()
-            .grid(self.n / self.block_size)
-            .block(self.block_size)
+        let cfg = LaunchConfig::new(self.n / self.block_size, self.block_size)
             .arg_ptr(input)
-            .arg_ptr(out)
-            .build();
+            .arg_ptr(out);
         let w = Window::open(gpu);
         let l = gpu.launch(h, &cfg)?;
         let (wall_ns, kernel_ns, launches) = w.close(gpu);

@@ -118,9 +118,7 @@ impl MxM {
         let mut panels = Vec::with_capacity(2);
         for (i, &st) in streams.iter().enumerate() {
             gpu.enqueue_h2d_t(st, a.at(i * elems), &av[i * elems..(i + 1) * elems])?;
-            let cfg = LaunchConfig::builder()
-                .grid((self.n / TILE, rows as u32 / TILE))
-                .block((TILE, TILE))
+            let cfg = LaunchConfig::new((self.n / TILE, rows as u32 / TILE), (TILE, TILE))
                 .arg_ptr(a.at(i * elems))
                 .arg_ptr(b)
                 .arg_ptr(c.at(i * elems))
@@ -193,9 +191,7 @@ impl Benchmark for MxM {
         }
         gpu.h2d_buf(&a, &av)?;
         gpu.h2d_buf(&b, &bv)?;
-        let cfg = LaunchConfig::builder()
-            .grid((self.n / TILE, self.n / TILE))
-            .block((TILE, TILE))
+        let cfg = LaunchConfig::new((self.n / TILE, self.n / TILE), (TILE, TILE))
             .arg_ptr(a)
             .arg_ptr(b)
             .arg_ptr(c)

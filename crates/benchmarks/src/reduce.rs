@@ -91,20 +91,14 @@ impl Benchmark for Reduce {
         let mut r = rng(0xEDCE);
         let data: Vec<f32> = (0..n).map(|_| r.gen_range(0..8) as f32).collect();
         gpu.h2d_buf(&input, &data)?;
-        let cfg1 = LaunchConfig::builder()
-            .grid(self.blocks)
-            .block(self.block_size)
+        let cfg1 = LaunchConfig::new(self.blocks, self.block_size)
             .arg_ptr(input)
             .arg_ptr(partials)
-            .arg_i32(n as i32)
-            .build();
-        let cfg2 = LaunchConfig::builder()
-            .grid(1u32)
-            .block(self.block_size)
+            .arg_i32(n as i32);
+        let cfg2 = LaunchConfig::new(1u32, self.block_size)
             .arg_ptr(partials)
             .arg_ptr(result)
-            .arg_i32(self.blocks as i32)
-            .build();
+            .arg_i32(self.blocks as i32);
         let w = Window::open(gpu);
         let l1 = gpu.launch(h, &cfg1)?;
         let l2 = gpu.launch(h, &cfg2)?;

@@ -172,9 +172,7 @@ impl Benchmark for Sobel {
         let out = gpu.alloc::<f32>(w * h)?;
         let data = rand_f32(0x50BE1, w * h, 0.0, 1.0);
         gpu.h2d_buf(&img, &data)?;
-        let mut cfg = LaunchConfig::builder()
-            .grid((self.width / 16, self.height / 16))
-            .block((16u32, 16u32))
+        let mut cfg = LaunchConfig::new((self.width / 16, self.height / 16), (16u32, 16u32))
             .arg_ptr(img)
             .arg_ptr(out)
             .arg_i32(self.width as i32)

@@ -18,6 +18,8 @@
 //! functionally identical but statically different code — the code-quality
 //! gap the paper measures.
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod ast;
 pub mod fold;
 pub mod frontend;

@@ -881,8 +881,3 @@ fn scan_expr(e: &Expr, f: &mut impl FnMut(&Expr)) {
         _ => {}
     }
 }
-
-/// Fold a standalone expression with a style's level (exposed for tests).
-pub fn fold_with_style(e: &Expr, style: &CodegenStyle) -> Expr {
-    fold_expr(e, style.fold)
-}

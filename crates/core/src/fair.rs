@@ -7,12 +7,11 @@
 //! which, per the paper, are the places any observed performance gap must
 //! be attributed to.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The eight steps of the development flow (paper Fig. 9), each owned by
 /// one of the three roles.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FairStep {
     /// 1. Problem description.
     ProblemDescription,
@@ -81,7 +80,7 @@ impl fmt::Display for FairStep {
 }
 
 /// The three roles of the development flow.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Role {
     /// Steps 1-4.
     Programmer,
@@ -93,7 +92,7 @@ pub enum Role {
 
 /// Configuration of one application build, step by step. Two builds whose
 /// configurations agree on a step are "the same" at that step.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BuildConfig {
     /// Description of the problem solved (step 1).
     pub problem: String,
@@ -144,7 +143,7 @@ impl BuildConfig {
 }
 
 /// Verdict of a fairness analysis.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Fairness {
     /// Steps whose configurations differ, in flow order.
     pub differing: Vec<FairStep>,

@@ -19,6 +19,8 @@
 //! - [`sim_speed`] — host wall-clock of the simulator's execution tiers
 //!   (interpreter / decoded), the report's speedup matrix.
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod bench_report;
 pub mod experiments;
 pub mod fair;

@@ -1,14 +1,12 @@
 //! The Performance Ratio metric (paper Eq. 1) and the similarity band.
 
-use serde::{Deserialize, Serialize};
-
 /// The paper's similarity band: `|1 - PR| < 0.1` means the two programming
 /// models perform "similarly".
 pub const SIMILARITY_BAND: f64 = 0.1;
 
 /// A single PR measurement:
 /// `PR = Performance_OpenCL / Performance_CUDA` (Eq. 1).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Pr(pub f64);
 
 impl Pr {

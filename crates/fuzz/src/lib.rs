@@ -15,6 +15,8 @@
 //! Entry points: the `fuzz` binary (`--cases N --seed S --replay <file>`),
 //! [`runner::campaign`] and [`runner::replay_file`].
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod gen;
 pub mod kdsl;
 pub mod oracle;

@@ -160,26 +160,6 @@ impl KernelBuilder {
         d
     }
 
-    /// Ternary op into an existing register.
-    pub fn tern_to(
-        &mut self,
-        op: Op3,
-        ty: Ty,
-        d: Reg,
-        a: impl Into<Operand>,
-        b: impl Into<Operand>,
-        c: impl Into<Operand>,
-    ) {
-        self.emit(Inst::Tern {
-            op,
-            ty,
-            d,
-            a: a.into(),
-            b: b.into(),
-            c: c.into(),
-        });
-    }
-
     /// `setp` into a fresh predicate register.
     pub fn setp(
         &mut self,

@@ -3,12 +3,11 @@
 use crate::kernel::LabelId;
 use crate::reg::{Operand, Reg};
 use crate::ty::{Space, Ty};
-use serde::{Deserialize, Serialize};
 
 /// Unary operations (`neg`, `abs`, `not`, and the special-function-unit
 /// transcendentals PTX exposes as `sqrt.approx`, `rsqrt.approx`, `sin.approx`
 /// and so on).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Op1 {
     /// Arithmetic negation.
     Neg,
@@ -59,7 +58,7 @@ impl Op1 {
 }
 
 /// Binary operations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Op2 {
     /// Addition.
     Add,
@@ -119,7 +118,7 @@ impl Op2 {
 }
 
 /// Ternary (three-input) operations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Op3 {
     /// Multiply-add, `d = a*b + c`. Integer `mad.lo` or float `mad.f32`
     /// (the GT200-era non-fused multiply-add).
@@ -140,7 +139,7 @@ impl Op3 {
 }
 
 /// Comparison operators for `setp`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// Equal.
     Eq,
@@ -195,7 +194,7 @@ impl CmpOp {
 }
 
 /// Atomic read-modify-write operations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AtomOp {
     /// Atomic add.
     Add,
@@ -227,7 +226,7 @@ impl AtomOp {
 ///
 /// `base` is a register holding a byte address (or an immediate for
 /// absolute addressing into `shared`/`const`/`param` space).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Address {
     /// Base address operand (byte address in the target state space).
     pub base: Operand,
@@ -260,11 +259,11 @@ impl Address {
 /// The host runtime binds device buffers to texture slots
 /// (CUDA `cudaBindTexture`); a [`Inst::Tex`] fetch reads element `idx`
 /// of the bound buffer through the texture cache.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TexRef(pub u8);
 
 /// One instruction of the virtual ISA.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Inst {
     /// Pseudo-instruction marking a branch target. Free at execution time.
     Label(LabelId),

@@ -2,11 +2,10 @@
 
 use crate::inst::Inst;
 use crate::ty::Ty;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A branch-target label. Labels are kernel-local.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LabelId(pub u32);
 
 /// A kernel parameter.
@@ -14,7 +13,7 @@ pub struct LabelId(pub u32);
 /// Each parameter occupies one 8-byte slot in `param` space (pointers are
 /// 64-bit byte addresses into the device's global memory; scalars are
 /// zero-extended). `ld.param` reads slot `i` at byte offset `8 * i`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Param {
     /// Parameter name (for diagnostics and pretty-printing).
     pub name: String,
@@ -28,7 +27,7 @@ impl Param {
 }
 
 /// A compiled kernel in the virtual ISA.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Kernel {
     /// Kernel entry name.
     pub name: String,
@@ -59,11 +58,6 @@ impl Kernel {
             local_bytes: 0,
             phys_regs: 0,
         }
-    }
-
-    /// Number of virtual registers declared.
-    pub fn num_regs(&self) -> usize {
-        self.regs.len()
     }
 
     /// Resolve labels to instruction indices, producing an executable form.
@@ -139,7 +133,7 @@ impl ResolvedKernel {
 ///
 /// The Sobel OpenCL variant stores its filter here; `ld.const` reads from
 /// the segment bound at kernel build time.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ConstSegment {
     /// Segment name.
     pub name: String,
@@ -186,7 +180,7 @@ impl F32Bits for f32 {
 
 /// A module: a set of kernels plus module-level constant segments, the unit
 /// `clBuildProgram` / the CUDA fat binary would carry.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Module {
     /// Kernels by definition order.
     pub kernels: Vec<Kernel>,
@@ -199,12 +193,6 @@ impl Module {
     /// Empty module.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Add a kernel, returning its index.
-    pub fn push_kernel(&mut self, k: Kernel) -> usize {
-        self.kernels.push(k);
-        self.kernels.len() - 1
     }
 
     /// Look a kernel up by name.

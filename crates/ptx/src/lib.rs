@@ -30,6 +30,8 @@
 //! The [`stats`] module computes the per-opcode static instruction counts
 //! used to regenerate the paper's Table V.
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod builder;
 pub mod display;
 pub mod hash;

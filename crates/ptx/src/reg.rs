@@ -1,7 +1,5 @@
 //! Registers, special registers and instruction operands.
 
-use crate::ty::Ty;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A virtual register index.
@@ -10,7 +8,7 @@ use std::fmt;
 /// backend in `gpucmp-compiler` later maps virtual registers onto the
 /// device's physical budget, spilling the excess to `local` memory. The
 /// register's type is recorded in [`crate::Kernel::regs`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Reg(pub u32);
 
 impl Reg {
@@ -35,7 +33,7 @@ impl fmt::Display for Reg {
 /// are derived from the *hardware* warp/wavefront width of the executing
 /// device — this distinction is what makes the paper's warp-size-dependent
 /// radix-sort kernel mis-behave on 64-wide wavefront devices (Table VI "FL").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Special {
     /// Thread index within the block, x/y/z.
     TidX,
@@ -101,7 +99,7 @@ impl fmt::Display for Special {
 }
 
 /// An instruction operand: a register, an immediate, or a special register.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Operand {
     /// A virtual register.
     Reg(Reg),
@@ -183,9 +181,6 @@ impl fmt::Display for Operand {
         }
     }
 }
-
-/// A register declaration: its scalar [`Ty`].
-pub type RegDecl = Ty;
 
 #[cfg(test)]
 mod tests {

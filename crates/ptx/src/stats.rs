@@ -7,12 +7,11 @@
 
 use crate::inst::{Inst, Op1, Op3};
 use crate::kernel::Kernel;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// The instruction classes of Table V.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum InstClass {
     /// `add sub mul div fma mad neg` … (plus `abs`, `min`, `max`, SFU ops).
     Arithmetic,
@@ -97,7 +96,7 @@ pub fn classify(inst: &Inst) -> Option<(InstClass, String)> {
 }
 
 /// Static per-opcode instruction counts for one kernel.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct InstStats {
     /// Counts per (class, mnemonic) row, e.g. `(DataMovement, "ld.global")`.
     pub rows: BTreeMap<(InstClass, String), u64>,

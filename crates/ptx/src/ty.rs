@@ -1,6 +1,5 @@
 //! Scalar types of the virtual ISA.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Scalar type of a register or memory access.
@@ -8,7 +7,7 @@ use std::fmt;
 /// The untyped bit types (`B32`/`B64`) are used by `mov` and the logic
 /// instructions; the signed/unsigned/float types select the semantics of
 /// arithmetic instructions, exactly as PTX type suffixes do.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Ty {
     /// One-bit predicate register type.
     Pred,
@@ -101,7 +100,7 @@ impl fmt::Display for Ty {
 /// `ld.local`, `ld.shared`, `ld.const`, `ld.global`, ...); the simulator
 /// gives each space its own cost model (coalescing for `global`, bank
 /// conflicts for `shared`, broadcast for `const`, spill traffic for `local`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Space {
     /// Device memory, visible to all threads; coalescing applies.
     Global,

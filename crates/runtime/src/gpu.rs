@@ -6,8 +6,7 @@
 //! layers the generic typed API on top — [`GpuExt::h2d_t`] /
 //! [`GpuExt::d2h_t`] over [`DeviceScalar`], typed [`GpuExt::alloc`]
 //! returning [`Buffer`], and [`GpuExt::launch`] accepting any
-//! `impl Into<LaunchConfig>` (a config, a reference, or a
-//! [`gpucmp_sim::LaunchConfigBuilder`]).
+//! `impl Into<LaunchConfig>` (an owned config or a reference).
 
 use crate::buffer::{Buffer, DeviceScalar};
 use crate::error::RtError;
@@ -384,11 +383,6 @@ impl Session {
     /// Attach (or clear) a deterministic fault-injection plan.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.inject = plan;
-    }
-
-    /// The attached fault-injection plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.inject.as_ref()
     }
 
     /// Turn session tracing on or off. While on, every launch and PCIe
@@ -1102,9 +1096,8 @@ pub trait Gpu {
 /// runtime *and* for `dyn Gpu` itself, so benchmarks written against
 /// `&mut dyn Gpu` get the typed API with static dispatch.
 pub trait GpuExt: Gpu {
-    /// Launch a kernel from anything convertible to a [`LaunchConfig`]:
-    /// an owned config, a `&LaunchConfig`, or a
-    /// [`gpucmp_sim::LaunchConfigBuilder`].
+    /// Launch a kernel from an owned [`LaunchConfig`] or a
+    /// `&LaunchConfig`.
     fn launch(
         &mut self,
         h: KernelHandle,

@@ -22,6 +22,8 @@
 //! overheads and modelled kernel durations advance it; benchmarks read it
 //! like a wall-clock timer.
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod buffer;
 pub mod cuda;
 pub mod error;

@@ -53,14 +53,11 @@ fn run_session(seed: u64) -> u64 {
     gpu.h2d_t(input.into(), &data).unwrap();
     let mut fp = 0xCBF2_9CE4_8422_2325u64;
     for iter in 0..ITERS {
-        let cfg = LaunchConfig::builder()
-            .grid(N_ELEMS / 128)
-            .block(128u32)
+        let cfg = LaunchConfig::new(N_ELEMS / 128, 128u32)
             .arg_ptr(input)
             .arg_ptr(out)
             .arg_i32(seed as i32 + iter as i32)
-            .arg_i32(N_ELEMS as i32)
-            .build();
+            .arg_i32(N_ELEMS as i32);
         let outcome = gpu.launch(h, &cfg).unwrap();
         let bytes = gpu.d2h_buf(&out).unwrap();
         for v in &bytes {
@@ -94,14 +91,11 @@ fn poisoned_session_does_not_perturb_concurrent_siblings() {
         let out = gpu.alloc::<i32>(N_ELEMS as usize).unwrap();
         gpu.h2d_t(input.into(), &vec![7i32; N_ELEMS as usize])
             .unwrap();
-        let cfg = LaunchConfig::builder()
-            .grid(N_ELEMS / 128)
-            .block(128u32)
+        let cfg = LaunchConfig::new(N_ELEMS / 128, 128u32)
             .arg_ptr(input)
             .arg_ptr(out)
             .arg_i32(1)
-            .arg_i32(N_ELEMS as i32)
-            .build();
+            .arg_i32(N_ELEMS as i32);
         gpu.launch(h, &cfg).unwrap();
         let err = gpu.launch(h, &cfg).unwrap_err();
         assert!(
@@ -139,14 +133,11 @@ fn victim_recovers_to_baseline_after_reset() {
     gpu.set_fault_plan(Some(FaultPlan::none().with_starve_launch(0, 1)));
     let h = gpu.build(&mad_kernel()).unwrap();
     let buf = gpu.alloc::<i32>(4).unwrap();
-    let cfg = LaunchConfig::builder()
-        .grid(1u32)
-        .block(32u32)
+    let cfg = LaunchConfig::new(1u32, 32u32)
         .arg_ptr(buf)
         .arg_ptr(buf)
         .arg_i32(0)
-        .arg_i32(4)
-        .build();
+        .arg_i32(4);
     assert!(gpu.launch(h, &cfg).is_err(), "first launch is starved");
     gpu.reset();
     // A recycled context with the plan disarmed reproduces the exact

@@ -113,24 +113,18 @@ mod tests {
         let x = gpu.alloc::<f32>(100).unwrap();
         let y = gpu.alloc::<f32>(100).unwrap();
         let fill_cfg = |buf, v: f32| {
-            LaunchConfig::builder()
-                .grid(1u32)
-                .block(128u32)
+            LaunchConfig::new(1u32, 128u32)
                 .arg_ptr(buf)
                 .arg_i32(100)
                 .arg_f32(v)
-                .build()
         };
         gpu.launch(fill, fill_cfg(x, 2.0)).unwrap();
         gpu.launch(fill, fill_cfg(y, 1.0)).unwrap();
-        let cfg = LaunchConfig::builder()
-            .grid(1u32)
-            .block(128u32)
+        let cfg = LaunchConfig::new(1u32, 128u32)
             .arg_ptr(x)
             .arg_ptr(y)
             .arg_f32(3.0)
-            .arg_i32(100)
-            .build();
+            .arg_i32(100);
         gpu.launch(saxpy, &cfg).unwrap();
         assert_eq!(gpu.d2h_buf(&y).unwrap(), vec![7.0f32; 100]);
     }
@@ -140,13 +134,10 @@ mod tests {
         let mut gpu = Cuda::new(DeviceSpec::gtx480()).unwrap();
         let spin = gpu.build(&kernel_def("spin").unwrap()).unwrap();
         let out = gpu.alloc::<i32>(4).unwrap();
-        let cfg = LaunchConfig::builder()
-            .grid(1u32)
-            .block(32u32)
+        let cfg = LaunchConfig::new(1u32, 32u32)
             .arg_ptr(out)
             .arg_i32(1_000_000)
-            .inst_budget(10_000)
-            .build();
+            .with_inst_budget(10_000);
         let e = gpu.launch(spin, &cfg).unwrap_err();
         assert!(
             matches!(
@@ -159,11 +150,7 @@ mod tests {
 
         let oob = gpu.build(&kernel_def("oob").unwrap()).unwrap();
         let out = gpu.alloc::<f32>(4).unwrap();
-        let cfg = LaunchConfig::builder()
-            .grid(1u32)
-            .block(32u32)
-            .arg_ptr(out)
-            .build();
+        let cfg = LaunchConfig::new(1u32, 32u32).arg_ptr(out);
         let e = gpu.launch(oob, &cfg).unwrap_err();
         assert!(matches!(e, RtError::DeviceFault { .. }), "{e}");
         assert!(e.is_sticky());

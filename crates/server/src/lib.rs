@@ -24,6 +24,8 @@
 //!   vetted kernels by name; `spin` and `oob` exist as chaos vectors
 //!   for watchdog and fault-isolation testing.
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod client;
 pub mod kernels;
 pub mod pool;

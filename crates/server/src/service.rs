@@ -35,6 +35,13 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+/// Largest grid a `Launch` may ask for, in blocks. The simulator sizes a
+/// result slot for every block before it runs any, so an unbounded grid
+/// lets one request exhaust host memory. 65 535 is CUDA's grid-x limit on
+/// compute capability 1.x and 2.x, which covers every NVIDIA device the
+/// CUDA-backed pool can run.
+const MAX_GRID_BLOCKS: u32 = 65_535;
+
 /// Per-tenant resource ceilings, applied at enqueue time.
 #[derive(Clone, Copy, Debug)]
 pub struct TenantQuota {
@@ -373,6 +380,12 @@ impl SessionService {
         if grid == 0 || block == 0 {
             return err(ErrorKind::BadRequest, "grid and block must be non-zero");
         }
+        if grid > MAX_GRID_BLOCKS {
+            return err(
+                ErrorKind::BadRequest,
+                format!("grid of {grid} blocks exceeds the limit of {MAX_GRID_BLOCKS}"),
+            );
+        }
         let Some(def) = kernels::kernel_def(kernel) else {
             return err(
                 ErrorKind::UnknownKernel,
@@ -426,11 +439,11 @@ impl SessionService {
                     }
                 }
             };
-            let mut b = LaunchConfig::builder().grid(grid).block(block);
-            for p in params {
-                b = b.arg_raw(*p);
-            }
-            match st.gpu.launch_config(handle, &b.build()) {
+            let cfg = LaunchConfig {
+                params: params.to_vec(),
+                ..LaunchConfig::new(grid, block)
+            };
+            match st.gpu.launch_config(handle, &cfg) {
                 Ok(outcome) => {
                     self.counters.launches.fetch_add(1, Ordering::Relaxed);
                     Response::Launched {
@@ -870,6 +883,43 @@ mod tests {
             })),
             ErrorKind::OutOfMemory
         );
+    }
+
+    #[test]
+    fn oversized_grid_is_rejected_and_the_session_still_launches() {
+        let svc = service(1, TenantQuota::default());
+        let s = open(&svc, "t");
+        let n = 4 * 128u32;
+        let ptr = match svc.handle(Request::Alloc {
+            session: s,
+            bytes: n as u64 * 4,
+        }) {
+            Response::Allocated { ptr } => ptr,
+            other => panic!("{other:?}"),
+        };
+        let fill = |grid: u32| Request::Launch {
+            session: s,
+            kernel: "fill".into(),
+            grid,
+            block: 128,
+            params: vec![ptr, n as u64, f32::to_bits(1.5) as u64],
+        };
+        for grid in [u32::MAX, MAX_GRID_BLOCKS + 1] {
+            assert_eq!(error_kind(svc.handle(fill(grid))), ErrorKind::BadRequest);
+        }
+        let resp = svc.handle(fill(4));
+        assert!(matches!(resp, Response::Launched { .. }), "{resp:?}");
+        let data = match svc.handle(Request::Read {
+            session: s,
+            ptr,
+            bytes: n as u64 * 4,
+        }) {
+            Response::Data { data } => data,
+            other => panic!("{other:?}"),
+        };
+        for chunk in data.chunks_exact(4) {
+            assert_eq!(f32::from_le_bytes(chunk.try_into().unwrap()), 1.5);
+        }
     }
 
     #[test]

@@ -87,12 +87,12 @@ impl Cache {
         }
     }
 
-    /// Hits since construction or the last [`Cache::reset_counters`].
+    /// Hits since construction.
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Misses since construction or the last [`Cache::reset_counters`].
+    /// Misses since construction.
     pub fn misses(&self) -> u64 {
         self.misses
     }
@@ -111,12 +111,6 @@ impl Cache {
     /// texture caches).
     pub fn invalidate(&mut self) {
         self.tags.fill(u64::MAX);
-    }
-
-    /// Zero the hit/miss counters.
-    pub fn reset_counters(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
     }
 }
 

@@ -1,10 +1,8 @@
 //! The device catalogue (paper Tables III & IV) and the occupancy model.
 
-use serde::{Deserialize, Serialize};
-
 /// Microarchitecture family. Selects coalescing rules, cache presence and
 /// the cost table of the timing model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Arch {
     /// NVIDIA GT200 (GTX280): no global-memory cache, 16 shared banks,
     /// half-warp coalescing, dual-issue mul+mad.
@@ -23,7 +21,7 @@ pub enum Arch {
 
 /// OpenCL device kind, for `CL_DEVICE_TYPE_*` filtering (the "minor
 /// modifications" of Section V of the paper).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
     /// `CL_DEVICE_TYPE_GPU`.
     Gpu,
@@ -34,7 +32,7 @@ pub enum DeviceKind {
 }
 
 /// Geometry of one cache model instance.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheGeom {
     /// Total capacity in bytes.
     pub size: u32,
@@ -51,7 +49,7 @@ pub struct CacheGeom {
 /// peak* benchmarks land near the paper's achieved-peak fractions (Figs 1-2)
 /// and are documented inline. Everything else about benchmark behaviour is
 /// emergent from the execution trace.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DeviceSpec {
     /// Marketing name, e.g. `"GTX480"`.
     pub name: &'static str,
@@ -157,11 +155,6 @@ impl DeviceSpec {
             * (self.compute_units * self.cores_per_cu) as f64
             * self.flops_per_core_per_clock
             * 1e-9
-    }
-
-    /// Total scalar cores.
-    pub fn total_cores(&self) -> u32 {
-        self.compute_units * self.cores_per_cu
     }
 
     /// Core clock in Hz.

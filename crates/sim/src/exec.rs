@@ -9,10 +9,11 @@
 //! devices (the paper's Table VI "FL" rows).
 //!
 //! Thread blocks are independent (they synchronize only via `bar.sync`
-//! *within* a block), so [`run_launch`] simulates them across a host thread
-//! pool: every block interprets against the launch-entry global-memory
-//! image through a private copy-on-write [`WriteOverlay`], accumulates its
-//! own [`ExecStats`], and records its L2-bound traffic as an event stream.
+//! *within* a block), so [`run_launch_with_code`] simulates them across a
+//! host thread pool: every block interprets against the launch-entry
+//! global-memory image through a private copy-on-write [`WriteOverlay`],
+//! accumulates its own [`ExecStats`], and records its L2-bound traffic as
+//! an event stream.
 //! After the join, per-block results are merged in ascending block index —
 //! stats add, L2 events replay through the device-wide L2 model, overlays
 //! commit to global memory — which makes the result a pure function of the
@@ -282,18 +283,6 @@ fn replay_l2(device: &DeviceSpec, l2: &mut Cache, stats: &mut ExecStats, events:
 /// Results are bit-identical for every thread count: blocks run against
 /// private snapshots and merge in ascending block index. Kernels with
 /// global atomics run serially on a coherent path at any thread count.
-pub fn run_launch(
-    device: &DeviceSpec,
-    kernel: &ResolvedKernel,
-    gmem: &mut GlobalMemory,
-    cfg: &LaunchConfig,
-    const_bank: &[u8],
-    opts: &ExecOptions,
-) -> Result<(ExecStats, ExecProfile, Vec<DeviceFault>), SimError> {
-    run_launch_with_code(device, kernel, gmem, cfg, const_bank, opts, None)
-}
-
-/// [`run_launch`] with an optional pre-decoded kernel.
 ///
 /// When `opts.tier` is [`ExecTier::Decoded`] and `code` is `Some`, the
 /// launch executes that pre-decoded body (the session code cache path — one

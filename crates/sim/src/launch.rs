@@ -8,10 +8,9 @@ use crate::mem::{DevPtr, GlobalMemory};
 use crate::stats::ExecStats;
 use crate::timing::{kernel_time, Timing};
 use gpucmp_ptx::ResolvedKernel;
-use serde::{Deserialize, Serialize};
 
 /// Three-dimensional launch extent (grid or block).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Dim3 {
     /// X extent.
     pub x: u32,
@@ -56,7 +55,7 @@ impl From<(u32, u32)> for Dim3 {
 }
 
 /// A buffer bound to a texture slot (the runtime's `cudaBindTexture`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TexBinding {
     /// Base device pointer of the bound buffer.
     pub ptr: DevPtr,
@@ -81,7 +80,7 @@ pub struct LaunchConfig {
 }
 
 impl LaunchConfig {
-    /// A 1-D launch of `grid` blocks of `block` threads.
+    /// A launch of `grid` blocks of `block` threads.
     pub fn new(grid: impl Into<Dim3>, block: impl Into<Dim3>) -> Self {
         LaunchConfig {
             grid: grid.into(),
@@ -90,12 +89,6 @@ impl LaunchConfig {
             textures: Vec::new(),
             inst_budget: DEFAULT_INST_BUDGET,
         }
-    }
-
-    /// Start a [`LaunchConfigBuilder`]; finish with [`LaunchConfigBuilder::build`]
-    /// or pass the builder straight to a launch (it is `Into<LaunchConfig>`).
-    pub fn builder() -> LaunchConfigBuilder {
-        LaunchConfigBuilder::default()
     }
 
     /// Append a device-pointer parameter (accepts anything convertible to
@@ -128,84 +121,6 @@ impl LaunchConfig {
     pub fn with_inst_budget(mut self, budget: u64) -> Self {
         self.inst_budget = budget;
         self
-    }
-}
-
-/// Chainable builder for [`LaunchConfig`]; converts into the config via
-/// [`LaunchConfigBuilder::build`] or `Into<LaunchConfig>`, so it can be
-/// handed directly to any launch entry point that takes
-/// `impl Into<LaunchConfig>`.
-#[derive(Clone, Debug)]
-pub struct LaunchConfigBuilder {
-    cfg: LaunchConfig,
-}
-
-impl Default for LaunchConfigBuilder {
-    fn default() -> Self {
-        LaunchConfigBuilder {
-            cfg: LaunchConfig::new(1u32, 1u32),
-        }
-    }
-}
-
-impl LaunchConfigBuilder {
-    /// Grid dimensions in blocks (default 1×1×1).
-    pub fn grid(mut self, g: impl Into<Dim3>) -> Self {
-        self.cfg.grid = g.into();
-        self
-    }
-
-    /// Block dimensions in threads (default 1×1×1).
-    pub fn block(mut self, b: impl Into<Dim3>) -> Self {
-        self.cfg.block = b.into();
-        self
-    }
-
-    /// Append a device-pointer parameter.
-    pub fn arg_ptr(mut self, p: impl Into<DevPtr>) -> Self {
-        self.cfg = self.cfg.arg_ptr(p);
-        self
-    }
-
-    /// Append a 32-bit integer parameter.
-    pub fn arg_i32(mut self, v: i32) -> Self {
-        self.cfg = self.cfg.arg_i32(v);
-        self
-    }
-
-    /// Append an f32 parameter.
-    pub fn arg_f32(mut self, v: f32) -> Self {
-        self.cfg = self.cfg.arg_f32(v);
-        self
-    }
-
-    /// Append a raw 64-bit parameter slot image.
-    pub fn arg_raw(mut self, v: u64) -> Self {
-        self.cfg.params.push(v);
-        self
-    }
-
-    /// Bind a texture slot (slots bind in call order: first call = slot 0).
-    pub fn texture(mut self, ptr: DevPtr, elems: u64) -> Self {
-        self.cfg = self.cfg.bind_texture(ptr, elems);
-        self
-    }
-
-    /// Override the dynamic warp-instruction budget (runaway guard).
-    pub fn inst_budget(mut self, budget: u64) -> Self {
-        self.cfg.inst_budget = budget;
-        self
-    }
-
-    /// Finish building.
-    pub fn build(self) -> LaunchConfig {
-        self.cfg
-    }
-}
-
-impl From<LaunchConfigBuilder> for LaunchConfig {
-    fn from(b: LaunchConfigBuilder) -> Self {
-        b.cfg
     }
 }
 

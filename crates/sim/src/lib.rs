@@ -30,6 +30,8 @@
 //! identical inputs produce bit-identical memory contents, statistics, and
 //! virtual times on every run.
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 mod alu;
 pub mod cache;
 pub mod decode;
@@ -48,8 +50,7 @@ pub use device::{Arch, DeviceKind, DeviceSpec};
 pub use error::{DeviceFault, FaultKind, FaultSite, SimError};
 pub use exec::{ExecOptions, ExecProfile};
 pub use launch::{
-    launch, launch_with, launch_with_code, Dim3, LaunchConfig, LaunchConfigBuilder, LaunchReport,
-    TexBinding,
+    launch, launch_with, launch_with_code, Dim3, LaunchConfig, LaunchReport, TexBinding,
 };
 pub use mem::{DevPtr, GlobalMemory, WriteOverlay};
 pub use stats::{CounterSet, ExecStats};

@@ -6,7 +6,6 @@
 
 use crate::error::{FaultKind, SimError};
 use gpucmp_ptx::Space;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -174,7 +173,7 @@ pub(crate) fn bank_conflict_degree_sorted(
 }
 
 /// A device pointer: a byte offset into the device's global memory.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DevPtr(pub u64);
 
 impl DevPtr {

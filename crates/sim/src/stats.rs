@@ -1,13 +1,11 @@
 //! Execution statistics gathered by the interpreter and consumed by the
 //! timing model.
 
-use serde::{Deserialize, Serialize};
-
 /// Dynamic statistics of one kernel launch.
 ///
 /// All counts are exact (the interpreter executes every thread); the
 /// timing model in [`crate::timing`] converts them to virtual nanoseconds.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ExecStats {
     /// Thread blocks executed.
     pub blocks: u64,
@@ -234,7 +232,7 @@ fn ratio(num: u64, den: u64) -> f64 {
 /// currency of the observability layer. Names are stable identifiers
 /// (they appear in `BENCH_*.json` and chrome traces, and the CI gate
 /// keys on them), so treat renames as breaking.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CounterSet {
     entries: Vec<(String, f64)>,
 }

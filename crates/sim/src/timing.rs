@@ -17,7 +17,6 @@
 
 use crate::device::DeviceSpec;
 use crate::stats::ExecStats;
-use serde::{Deserialize, Serialize};
 
 /// Fraction of the non-dominant terms that does *not* overlap with the
 /// dominant one.
@@ -32,7 +31,7 @@ pub const PIPELINE_NS: f64 = 1_000.0;
 pub const WARP_MLP: f64 = 2.0;
 
 /// Timing breakdown of one kernel launch.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Timing {
     /// Compute-issue term in ns.
     pub compute_ns: f64,
@@ -255,11 +254,6 @@ impl TimelineState {
     /// Fresh, empty timeline.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// When `resource` is next free.
-    pub fn resource_free_ns(&self, resource: TimelineResource) -> f64 {
-        self.resource_free[resource.index()]
     }
 
     /// End of the last committed op on `stream` (0.0 if none).

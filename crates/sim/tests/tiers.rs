@@ -201,11 +201,7 @@ fn watchdog_fires_at_the_same_instruction_on_every_tier() {
     let device = DeviceSpec::gtx480();
     let run = |tier: ExecTier| {
         let mut gmem = GlobalMemory::new(1 << 12);
-        let cfg = LaunchConfig::builder()
-            .grid(1u32)
-            .block(32u32)
-            .inst_budget(100)
-            .build();
+        let cfg = LaunchConfig::new(1u32, 32u32).with_inst_budget(100);
         let opts = ExecOptions::serial().tier(tier);
         fault_of(launch_with(&device, &kernel, &mut gmem, &[], &cfg, &opts))
     };

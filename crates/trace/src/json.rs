@@ -1,12 +1,11 @@
 //! A minimal JSON value, writer, and parser.
 //!
-//! The build environment vendors `serde` as a marker-trait shim with no
-//! runtime serialisation, so the observability exports carry their own
-//! JSON layer. It is deliberately small: a [`Json`] tree, a writer that
-//! always emits valid RFC 8259 text (NaN/infinite numbers become `null`),
-//! and a recursive-descent parser used by the round-trip tests and the CI
-//! gate binary. Object member order is preserved, which keeps every
-//! serialisation byte-deterministic.
+//! The workspace depends on no serialisation crate, so the observability
+//! exports carry their own JSON layer. It is deliberately small: a
+//! [`Json`] tree, a writer that always emits valid RFC 8259 text
+//! (NaN/infinite numbers become `null`), and a recursive-descent parser
+//! used by the round-trip tests and the CI gate binary. Object member
+//! order is preserved, which keeps every serialisation byte-deterministic.
 
 use std::fmt;
 

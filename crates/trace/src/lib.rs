@@ -13,6 +13,8 @@
 //!   machine-derived *dominant counter* attribution. The CI gate parses
 //!   this file and fails on paper-shape regressions.
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod chrome;
 pub mod json;
 pub mod report;

@@ -19,6 +19,8 @@
 //! Everything is deterministic: tuning the same kernel on the same device
 //! twice yields the identical trial log.
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod search;
 pub mod transpose;
 

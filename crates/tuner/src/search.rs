@@ -1,10 +1,9 @@
 //! The search harness: tunables, strategies, trial logs.
 
 use gpucmp_runtime::{Gpu, RtError};
-use serde::{Deserialize, Serialize};
 
 /// One discrete tunable parameter.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TunableParam {
     /// Parameter name (for reports).
     pub name: &'static str,
@@ -25,7 +24,7 @@ pub trait Tunable {
 }
 
 /// One evaluated configuration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Trial {
     /// Configuration vector (one value per [`TunableParam`]).
     pub config: Vec<i64>,
@@ -34,7 +33,7 @@ pub struct Trial {
 }
 
 /// Result of a tuning run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TuneResult {
     /// Best configuration found.
     pub best_config: Vec<i64>,

@@ -11,6 +11,8 @@
 //!   experiment registry),
 //! - [`tuner`] — the auto-tuner the paper proposes as future work.
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub use gpucmp_benchmarks as benchmarks;
 pub use gpucmp_compiler as compiler;
 pub use gpucmp_core as core;
