@@ -15,7 +15,7 @@ fn corpus_dir() -> PathBuf {
 fn every_corpus_case_replays_clean() {
     let files = corpus_files(&corpus_dir());
     assert!(
-        files.len() >= 10,
+        files.len() >= 11,
         "corpus shrank to {} file(s) — the hand-written edge cases are missing",
         files.len()
     );
@@ -57,6 +57,7 @@ fn corpus_cases_have_their_documented_outcomes() {
         ("select-shr-signed.kdsl", |o| o.is_ok()),
         ("nan-sign-lane.kdsl", |o| o.is_ok()),
         ("nan-sign-warp-width.kdsl", |o| o.is_ok()),
+        ("nan-fma-lanes.kdsl", |o| o.is_ok()),
     ];
     for (file, outcome_ok) in expect {
         let path = corpus_dir().join(file);
@@ -102,6 +103,24 @@ fn corpus_reference_values_are_right() {
     let initial = as_i32(&case.bufs[1].data());
     let expect: Vec<i32> = initial.iter().map(|v| v + 16).collect();
     assert_eq!(bins, expect);
+
+    // nan-fma-lanes: threads 3 and 40 store four NaNs each, every other
+    // thread four finite values.
+    let case = load("nan-fma-lanes.kdsl");
+    let snap = oracle.reference_snapshot(&case).unwrap();
+    let out: Vec<f32> = snap.mems[0]
+        .chunks_exact(4)
+        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
+        .collect();
+    for (tid, slots) in out.chunks_exact(4).enumerate() {
+        let hot = tid % 37 == 3;
+        assert!(
+            slots
+                .iter()
+                .all(|x| x.is_nan() == hot && (hot || x.is_finite())),
+            "thread {tid}: {slots:?}"
+        );
+    }
 }
 
 fn load(file: &str) -> gpucmp_fuzz::FuzzCase {

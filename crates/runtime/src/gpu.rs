@@ -293,9 +293,12 @@ impl Session {
     }
 
     /// Reset the context, as `cudaDeviceReset` would: the sticky fault is
-    /// cleared, device memory is wiped, loaded kernels, streams and the
-    /// virtual clock are discarded. Existing [`KernelHandle`]s, [`DevPtr`]s,
-    /// [`Stream`]s and [`Event`]s are invalidated. Host-side knobs (exec
+    /// cleared, device memory is wiped in place ([`GlobalMemory::reset`]
+    /// zeroes every byte ever handed out or written and forgets every
+    /// allocation, so recycling the arena allocates nothing), loaded
+    /// kernels, streams and the virtual clock are discarded. Existing
+    /// [`KernelHandle`]s, [`DevPtr`]s, [`Stream`]s and [`Event`]s are
+    /// invalidated. Host-side knobs (exec
     /// options, memcheck, tracing, fault plan, instruction-budget cap)
     /// survive; the trace buffer restarts empty.
     ///
@@ -327,8 +330,7 @@ impl Session {
             evicted_kernels: self.code_cache.len(),
             fault: self.fault.clone(),
         };
-        let cap = self.gmem.capacity();
-        self.gmem = GlobalMemory::new(cap);
+        self.gmem.reset();
         self.kernels.clear();
         self.now_ns = 0.0;
         self.launches = 0;

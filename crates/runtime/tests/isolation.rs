@@ -6,10 +6,10 @@
 //! server builds its isolation contract on.
 
 use gpucmp_compiler::{global_id_x, ld_global, DslKernel, Expr, KernelDef};
-use gpucmp_ptx::Ty;
+use gpucmp_ptx::{AtomOp, Space, Ty};
 use gpucmp_runtime::inject::FaultPlan;
 use gpucmp_runtime::{Cuda, Gpu, GpuExt, RtError};
-use gpucmp_sim::{DeviceSpec, LaunchConfig};
+use gpucmp_sim::{DevPtr, DeviceSpec, LaunchConfig};
 
 const N_THREADS: u64 = 4;
 const N_ELEMS: u32 = 512;
@@ -145,4 +145,65 @@ fn victim_recovers_to_baseline_after_reset() {
     gpu.set_fault_plan(None);
     drop(gpu);
     assert_eq!(run_session(3), expect);
+}
+
+/// Elements between a 64-element buffer and the slots written past it.
+const FAR: i32 = 4096;
+
+/// `p[gid + FAR] = 0x5a5a5a5a` by a plain store, plus `p[gid + 2 * FAR]
+/// += 7` by a global atomic when `atomic` (which puts the whole launch on
+/// the simulator's coherent path instead of per-block overlays).
+fn poke_kernel(atomic: bool) -> KernelDef {
+    let mut k = DslKernel::new(if atomic { "poke_atomic" } else { "poke" });
+    let p = k.param_ptr("p");
+    let gid = k.let_(Ty::S32, global_id_x());
+    k.st_global(p.clone(), Expr::from(gid) + FAR, Ty::S32, 0x5a5a_5a5ai32);
+    if atomic {
+        k.atomic(
+            AtomOp::Add,
+            Space::Global,
+            p,
+            Expr::from(gid) + 2 * FAR,
+            Ty::S32,
+            7i32,
+        );
+    }
+    k.finish()
+}
+
+/// `p[gid] = p[gid + FAR] + p[gid + 2 * FAR] + p[gid + 3 * FAR]`.
+fn peek_kernel() -> KernelDef {
+    let mut k = DslKernel::new("peek");
+    let p = k.param_ptr("p");
+    let gid = k.let_(Ty::S32, global_id_x());
+    let far = |n: i32| ld_global(p.clone(), Expr::from(gid) + n * FAR, Ty::S32);
+    k.st_global(p.clone(), gid, Ty::S32, far(1) + far(2) + far(3));
+    k.finish()
+}
+
+#[test]
+fn a_reset_session_reads_zeros_where_the_last_tenant_wrote_past_its_buffers() {
+    // A tenant can write anywhere in the arena, not only inside its
+    // allocations: by a kernel store, a kernel atomic or a host copy. The
+    // recycled session must not see any of it.
+    let mut gpu = Cuda::with_arena(DeviceSpec::gtx480(), 1 << 20).unwrap();
+    gpu.set_memcheck(false);
+    let cfg = |buf| LaunchConfig::new(1u32, 64u32).arg_ptr(buf);
+    let buf = gpu.alloc::<i32>(64).unwrap();
+    for atomic in [false, true] {
+        let h = gpu.build(&poke_kernel(atomic)).unwrap();
+        gpu.launch(h, cfg(buf)).unwrap();
+    }
+    let at = DevPtr::from(buf).offset(3 * FAR as u64 * 4);
+    gpu.h2d_t(at, &[9i32; 64]).unwrap();
+    let peek = gpu.build(&peek_kernel()).unwrap();
+    gpu.launch(peek, cfg(buf)).unwrap();
+    assert_eq!(gpu.d2h_buf(&buf).unwrap(), vec![0x5a5a_5a5a + 7 + 9; 64]);
+
+    gpu.reset();
+    let fresh = gpu.alloc::<i32>(64).unwrap();
+    assert_eq!(DevPtr::from(fresh), DevPtr::from(buf), "same addresses");
+    let peek = gpu.build(&peek_kernel()).unwrap();
+    gpu.launch(peek, cfg(fresh)).unwrap();
+    assert_eq!(gpu.d2h_buf(&fresh).unwrap(), vec![0; 64]);
 }

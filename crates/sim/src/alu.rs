@@ -8,19 +8,24 @@
 //! every counter it touches is a commutative sum, so per-block accounting
 //! merges exactly.
 //!
-//! **NaN bits are part of bit-identity.** Every float operation that can
-//! produce a NaN (`alu1`/`alu2`/`alu3` on float types, conversions to or
-//! from a float type) runs in exactly one out-of-line body
-//! (`#[inline(never)]`), which both tiers call. Rust does not pin the
-//! payload or sign of a NaN result: x86 returns the first operand's NaN,
-//! and LLVM may swap the operands of a commutative float op differently in
-//! each inlined copy — in a vectorised lane loop and in its scalar tail,
-//! say — so an inlined float op could make a result depend on lane
-//! position or warp width. Integer bodies produce no NaNs and are
-//! `#[inline(always)]`, so warp-wide loops can specialise them.
+//! **NaN bits are part of bit-identity.** Every NaN a float operation
+//! produces (`alu1`/`alu2`/`alu3` on float types, conversions to or from a
+//! float type) comes from exactly one out-of-line body (`#[inline(never)]`).
+//! Rust does not pin the payload or sign of a NaN result: x86 returns the
+//! first operand's NaN, and LLVM may swap the operands of a commutative
+//! float op differently in each inlined copy — in a vectorised lane loop
+//! and in its scalar tail, say — so an inlined float op could make a NaN
+//! depend on lane position or warp width. Every non-NaN result of the ops
+//! in [`un_f32`], [`bin_f32`] and `mul_add` is fixed bit for bit by
+//! IEEE 754 (each rounds once, and nothing sets flush-to-zero), so the
+//! decoded tier inlines those into lane loops and sends only the lanes
+//! that come out NaN through the out-of-line body. Integer bodies produce
+//! no NaNs and are `#[inline(always)]`, so warp-wide loops can specialise
+//! them.
 
 use crate::device::DeviceSpec;
 use crate::error::FaultKind;
+use crate::mem::{load_le, store_le, with_size};
 use crate::stats::ExecStats;
 use gpucmp_ptx::{CmpOp, Op1, Op2, Op3, Space, Ty};
 
@@ -71,6 +76,7 @@ pub(crate) fn dram_traffic(
     } else {
         stats.dram_read_bytes += bytes;
     }
+    // At most `MAX_DRAM_PARTITIONS`, which every launch validates.
     let parts = device.dram_partitions.max(1) as u64;
     let stripe = addr / 256;
     // Local (spill) space lives in the reserved high range; hardware
@@ -141,11 +147,7 @@ pub(crate) fn alu1_float(op: Op1, ty: Ty, v: u64) -> u64 {
         Ty::F32 => {
             let x = f32b(v);
             bf32(match op {
-                Op1::Neg => -x,
-                Op1::Abs => x.abs(),
-                Op1::Sqrt => x.sqrt(),
-                Op1::Rsqrt => 1.0 / x.sqrt(),
-                Op1::Rcp => 1.0 / x,
+                Op1::Neg | Op1::Abs | Op1::Sqrt | Op1::Rsqrt | Op1::Rcp => un_f32(op, x),
                 Op1::Sin => x.sin(),
                 Op1::Cos => x.cos(),
                 Op1::Ex2 => x.exp2(),
@@ -156,11 +158,7 @@ pub(crate) fn alu1_float(op: Op1, ty: Ty, v: u64) -> u64 {
         Ty::F64 => {
             let x = f64b(v);
             bf64(match op {
-                Op1::Neg => -x,
-                Op1::Abs => x.abs(),
-                Op1::Sqrt => x.sqrt(),
-                Op1::Rsqrt => 1.0 / x.sqrt(),
-                Op1::Rcp => 1.0 / x,
+                Op1::Neg | Op1::Abs | Op1::Sqrt | Op1::Rsqrt | Op1::Rcp => un_f64(op, x),
                 Op1::Sin => x.sin(),
                 Op1::Cos => x.cos(),
                 Op1::Ex2 => x.exp2(),
@@ -169,6 +167,34 @@ pub(crate) fn alu1_float(op: Op1, ty: Ty, v: u64) -> u64 {
             })
         }
         _ => unreachable!("alu1_float on {ty:?}"),
+    }
+}
+
+/// The f32 unary ops lane loops inline: each result is correctly rounded
+/// (`rsqrt` and `rcp` are a correctly rounded divide), so only NaN bits
+/// can differ between inlined copies.
+#[inline(always)]
+pub(crate) fn un_f32(op: Op1, x: f32) -> f32 {
+    match op {
+        Op1::Neg => -x,
+        Op1::Abs => x.abs(),
+        Op1::Sqrt => x.sqrt(),
+        Op1::Rsqrt => 1.0 / x.sqrt(),
+        Op1::Rcp => 1.0 / x,
+        _ => unreachable!("{op:?} is not an inlined float op"),
+    }
+}
+
+/// [`un_f32`] on f64.
+#[inline(always)]
+pub(crate) fn un_f64(op: Op1, x: f64) -> f64 {
+    match op {
+        Op1::Neg => -x,
+        Op1::Abs => x.abs(),
+        Op1::Sqrt => x.sqrt(),
+        Op1::Rsqrt => 1.0 / x.sqrt(),
+        Op1::Rcp => 1.0 / x,
+        _ => unreachable!("{op:?} is not an inlined float op"),
     }
 }
 
@@ -205,15 +231,12 @@ pub(crate) fn alu2(op: Op2, ty: Ty, a: u64, b: u64) -> Result<u64, FaultKind> {
 
 /// [`alu2`] on a float type: the one out-of-line body (see module docs).
 #[inline(never)]
-fn alu2_float(op: Op2, ty: Ty, a: u64, b: u64) -> u64 {
+pub(crate) fn alu2_float(op: Op2, ty: Ty, a: u64, b: u64) -> u64 {
     match ty {
         Ty::F32 => {
             let (x, y) = (f32b(a), f32b(b));
             bf32(match op {
-                Op2::Add => x + y,
-                Op2::Sub => x - y,
-                Op2::Mul => x * y,
-                Op2::Div => x / y,
+                Op2::Add | Op2::Sub | Op2::Mul | Op2::Div => bin_f32(op, x, y),
                 Op2::Rem => x % y,
                 Op2::Min => x.min(y),
                 Op2::Max => x.max(y),
@@ -223,10 +246,7 @@ fn alu2_float(op: Op2, ty: Ty, a: u64, b: u64) -> u64 {
         Ty::F64 => {
             let (x, y) = (f64b(a), f64b(b));
             bf64(match op {
-                Op2::Add => x + y,
-                Op2::Sub => x - y,
-                Op2::Mul => x * y,
-                Op2::Div => x / y,
+                Op2::Add | Op2::Sub | Op2::Mul | Op2::Div => bin_f64(op, x, y),
                 Op2::Rem => x % y,
                 Op2::Min => x.min(y),
                 Op2::Max => x.max(y),
@@ -234,6 +254,33 @@ fn alu2_float(op: Op2, ty: Ty, a: u64, b: u64) -> u64 {
             })
         }
         _ => unreachable!("alu2_float on {ty:?}"),
+    }
+}
+
+/// The f32 binary ops lane loops inline: each result is correctly
+/// rounded, so only NaN bits can differ between inlined copies. `min` and
+/// `max` stay out of line, because Rust leaves the sign of a zero result
+/// of `min(-0, +0)` open.
+#[inline(always)]
+pub(crate) fn bin_f32(op: Op2, x: f32, y: f32) -> f32 {
+    match op {
+        Op2::Add => x + y,
+        Op2::Sub => x - y,
+        Op2::Mul => x * y,
+        Op2::Div => x / y,
+        _ => unreachable!("{op:?} is not an inlined float op"),
+    }
+}
+
+/// [`bin_f32`] on f64.
+#[inline(always)]
+pub(crate) fn bin_f64(op: Op2, x: f64, y: f64) -> f64 {
+    match op {
+        Op2::Add => x + y,
+        Op2::Sub => x - y,
+        Op2::Mul => x * y,
+        Op2::Div => x / y,
+        _ => unreachable!("{op:?} is not an inlined float op"),
     }
 }
 
@@ -398,6 +445,8 @@ pub(crate) fn alu3(op: Op3, ty: Ty, a: u64, b: u64, c: u64) -> u64 {
 }
 
 /// [`alu3`] on a float type: the one out-of-line body (see module docs).
+/// Its non-NaN results equal a hardware fused multiply-add's, since both
+/// round once.
 #[inline(never)]
 pub(crate) fn alu3_float(op: Op3, ty: Ty, a: u64, b: u64, c: u64) -> u64 {
     match ty {
@@ -593,13 +642,7 @@ pub(crate) fn read_bytes(buf: &[u8], addr: u64, size: u32, space: Space) -> Resu
             limit: buf.len() as u64,
         });
     }
-    Ok(match size {
-        1 => buf[a] as u64,
-        2 => u16::from_le_bytes(buf[a..a + 2].try_into().unwrap()) as u64,
-        4 => u32::from_le_bytes(buf[a..a + 4].try_into().unwrap()) as u64,
-        8 => u64::from_le_bytes(buf[a..a + 8].try_into().unwrap()),
-        _ => unreachable!(),
-    })
+    Ok(with_size!(size, N => load_le::<N>(buf, a)))
 }
 
 #[inline(always)]
@@ -623,13 +666,7 @@ pub(crate) fn write_bytes(
             limit: buf.len() as u64,
         });
     }
-    match size {
-        1 => buf[a] = value as u8,
-        2 => buf[a..a + 2].copy_from_slice(&(value as u16).to_le_bytes()),
-        4 => buf[a..a + 4].copy_from_slice(&(value as u32).to_le_bytes()),
-        8 => buf[a..a + 8].copy_from_slice(&value.to_le_bytes()),
-        _ => unreachable!(),
-    }
+    with_size!(size, N => store_le::<N>(buf, a, value));
     Ok(())
 }
 

@@ -126,7 +126,8 @@ pub struct DeviceSpec {
     /// Launch overhead floor in ns that no API can go below (hardware
     /// command processor).
     pub hw_launch_ns: f64,
-    /// Number of DRAM partitions (memory controllers).
+    /// Number of DRAM partitions (memory controllers); a launch rejects
+    /// more than [`crate::stats::MAX_DRAM_PARTITIONS`].
     pub dram_partitions: u32,
     /// Whether addresses are hashed across partitions (Fermi and later) —
     /// hashing eliminates GT200's "partition camping" on hot segments or

@@ -34,10 +34,10 @@ use crate::device::DeviceSpec;
 use crate::error::{DeviceFault, FaultKind, FaultSite, SimError};
 use crate::launch::{Dim3, LaunchConfig, TexBinding};
 use crate::mem::{
-    bank_conflict_degree, coalesce_segments, distinct_ascending, Divisor, GlobalMemory,
-    WriteOverlay,
+    bank_conflict_degree, coalesce_segments, distinct_ascending, lanes_fit, read_lanes_in,
+    write_lanes_in, Divisor, GlobalMemory, WriteOverlay,
 };
-use crate::stats::ExecStats;
+use crate::stats::{ExecStats, MAX_DRAM_PARTITIONS};
 use gpucmp_ptx::{AtomOp, Inst, Op1, Op2, Operand, Reg, ResolvedKernel, Space, Special, Ty};
 use std::time::Instant;
 
@@ -249,6 +249,12 @@ fn validate_launch(
         return Err(SimError::InvalidLaunch(format!(
             "block of {threads} threads exceeds device max work-group size {}",
             device.max_workgroup_size
+        )));
+    }
+    if device.dram_partitions as usize > MAX_DRAM_PARTITIONS {
+        return Err(SimError::InvalidLaunch(format!(
+            "device has {} DRAM partitions, the simulator models at most {MAX_DRAM_PARTITIONS}",
+            device.dram_partitions
         )));
     }
     if k.shared_bytes > device.shared_mem_per_cu {
@@ -992,7 +998,28 @@ impl<'a> BlockExec<'a> {
             )
         };
         self.lane_addr.clear();
-        self.lane_addr.extend(lanes_of(v.active).map(lane));
+        if v.active == v.full {
+            self.lane_addr.extend((0..v.n).map(lane));
+        } else {
+            self.lane_addr.extend(lanes_of(v.active).map(lane));
+        }
+    }
+
+    /// Whether the gathered global or shared access of `size` bytes takes
+    /// the warp path: on the decoded tier only, with memcheck off, and only
+    /// when [`lanes_fit`] shows that no lane can fault. Otherwise the
+    /// per-lane loops run, which report faults lane by lane.
+    fn warp_access(&self, space: Space, size: u32) -> bool {
+        if self.code.is_none() || self.memcheck {
+            return false;
+        }
+        let limit = match (space, &self.path) {
+            (Space::Global, GmemPath::Coherent { gmem, .. }) => gmem.capacity(),
+            (Space::Global, GmemPath::Snapshot { base, .. }) => base.capacity(),
+            (Space::Shared, _) => self.shared.len() as u64,
+            _ => return false,
+        };
+        lanes_fit(&self.lane_addr, size, limit)
     }
 
     /// Settle a lane's faulting access: under memcheck an access fault is
@@ -1032,6 +1059,19 @@ impl<'a> BlockExec<'a> {
         self.gather_addresses(v, addr);
         // Cost model first (needs the address vector), then functional reads.
         self.account_memory(space, size, false);
+        if self.warp_access(space, size) {
+            let (lanes, out) = (&self.lane_addr, &mut self.bufs.out[..v.n]);
+            match (space, &self.path) {
+                (Space::Shared, _) => read_lanes_in(&self.shared, lanes, size, v.base, out),
+                (_, GmemPath::Coherent { gmem, .. }) => gmem.read_lanes(lanes, size, v.base, out),
+                (_, GmemPath::Snapshot { base, overlay, .. }) => {
+                    overlay.read_lanes(base, lanes, size, v.base, out)
+                }
+            }
+            with_ty!(ty, T => out.iter_mut().for_each(|x| *x = load_extend(*x, T)));
+            self.file.write_back(d, v, &self.bufs.out);
+            return Ok(());
+        }
         // One lane loop per (type, space): the access size and the register
         // extension are constants in each.
         with_ty!(ty, T => {
@@ -1091,7 +1131,19 @@ impl<'a> BlockExec<'a> {
         let v = self.warp_lanes(w, ctaid);
         self.gather_addresses(v, addr);
         self.file.load(v, a, &mut self.bufs.b);
-        self.account_memory(space, ty.size_bytes(), true);
+        let size = ty.size_bytes();
+        self.account_memory(space, size, true);
+        if self.warp_access(space, size) {
+            let (lanes, vals) = (&self.lane_addr, &self.bufs.b[..v.n]);
+            match (space, &mut self.path) {
+                (Space::Shared, _) => write_lanes_in(&mut self.shared, lanes, size, v.base, vals),
+                (_, GmemPath::Coherent { gmem, .. }) => gmem.write_lanes(lanes, size, v.base, vals),
+                (_, GmemPath::Snapshot { base, overlay, .. }) => {
+                    overlay.write_lanes(base, lanes, size, v.base, vals)
+                }
+            }
+            return Ok(());
+        }
         // One lane loop per (type, space), as for loads.
         with_ty!(ty, T => {
             let size = T.size_bytes();

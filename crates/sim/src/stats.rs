@@ -1,6 +1,11 @@
 //! Execution statistics gathered by the interpreter and consumed by the
 //! timing model.
 
+/// The most DRAM partitions a device may have: the length of
+/// [`ExecStats::partition_bytes`]. A launch on a device with more is
+/// rejected as invalid.
+pub const MAX_DRAM_PARTITIONS: usize = 8;
+
 /// Dynamic statistics of one kernel launch.
 ///
 /// All counts are exact (the interpreter executes every thread); the
@@ -74,7 +79,7 @@ pub struct ExecStats {
     /// hashing, so hot segments — e.g. a filter kernel re-reading the same
     /// few words from global memory — serialise on one partition: the
     /// "partition camping" effect).
-    pub partition_bytes: [u64; 8],
+    pub partition_bytes: [u64; MAX_DRAM_PARTITIONS],
 }
 
 impl ExecStats {

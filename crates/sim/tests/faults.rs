@@ -310,3 +310,52 @@ fn device_oom_is_a_launch_setup_error_not_a_fault() {
     assert!(matches!(e, SimError::OutOfMemory { .. }));
     assert!(e.fault().is_none());
 }
+
+#[test]
+fn more_dram_partitions_than_modelled_is_an_invalid_launch() {
+    // A 64 x 256 copy on a GT200 with 12 partitions: the per-partition
+    // traffic counters hold 8, so the launch is rejected up front instead
+    // of indexing past them.
+    let mut b = KernelBuilder::new("copy");
+    b.param("src", Ty::U64);
+    b.param("dst", Ty::U64);
+    let tid = b.special(Special::TidX);
+    let ntid = b.special(Special::NtidX);
+    let ctaid = b.special(Special::CtaidX);
+    let gid = b.tern(Op3::Mad, Ty::U32, ctaid, ntid, tid);
+    let g64 = b.cvt(Ty::U64, Ty::U32, gid);
+    let off = b.bin(Op2::Shl, Ty::U64, g64, 2i32);
+    let src = b.ld_param(0, Ty::U64);
+    let dst = b.ld_param(1, Ty::U64);
+    let sa = b.bin(Op2::Add, Ty::U64, src, off);
+    let da = b.bin(Op2::Add, Ty::U64, dst, off);
+    let v = b.ld(Space::Global, Ty::U32, Address::base(Operand::Reg(sa)));
+    b.st(Space::Global, Ty::U32, Address::base(Operand::Reg(da)), v);
+    let kernel = b.finish().resolve().unwrap();
+    let mut device = DeviceSpec::gtx280();
+    device.dram_partitions = 12;
+    let mut gmem = GlobalMemory::new(1 << 20);
+    let src = gmem.alloc(64 * 256 * 4).unwrap();
+    let dst = gmem.alloc(64 * 256 * 4).unwrap();
+    let cfg = LaunchConfig::new(64u32, 256u32).arg_ptr(src).arg_ptr(dst);
+    let e = launch_with(
+        &device,
+        &kernel,
+        &mut gmem,
+        &[],
+        &cfg,
+        &ExecOptions::serial(),
+    )
+    .unwrap_err();
+    assert!(matches!(e, SimError::InvalidLaunch(_)), "{e}");
+    device.dram_partitions = 8;
+    launch_with(
+        &device,
+        &kernel,
+        &mut gmem,
+        &[],
+        &cfg,
+        &ExecOptions::serial(),
+    )
+    .unwrap();
+}

@@ -380,3 +380,108 @@ fn two_dimensional_blocks_read_tid_y_identically() {
         assert_eq!(run(ExecTier::Decoded), base, "block {block:?}");
     }
 }
+
+/// How thread 39, lane 7 of the second 32-wide warp, breaks its access.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Broken {
+    OutOfBounds,
+    Misaligned,
+}
+
+/// One block of 100 threads. Each thread either loads the word `in[tid]`
+/// from global memory or stores `tid` to the shared word `tid`, then
+/// writes what it loaded (or what its shared word holds after a barrier)
+/// to `out[tid]`. Thread 39 uses a broken address instead. With
+/// `divergent`, the even threads branch around the access, so it runs
+/// under a divergent mask.
+fn lane7_kernel(space: Space, broken: Broken, divergent: bool) -> gpucmp_ptx::ResolvedKernel {
+    let mut b = KernelBuilder::new("lane7");
+    b.param("in", Ty::U64);
+    b.param("out", Ty::U64);
+    b.shared_alloc(4 * 100);
+    let tid = b.special(Special::TidX);
+    let t64 = b.cvt(Ty::U64, Ty::U32, tid);
+    let off = b.bin(Op2::Shl, Ty::U64, t64, 2i32);
+    let bad = match broken {
+        Broken::OutOfBounds => b.mov(Ty::U64, 1i32 << 20),
+        Broken::Misaligned => b.bin(Op2::Add, Ty::U64, off, 2i32),
+    };
+    let is39 = b.setp(CmpOp::Eq, Ty::U32, tid, 39i32);
+    let at = b.selp(Ty::U64, bad, off, is39);
+    let v = b.mov(Ty::U32, 7i32);
+    let skip = b.new_label();
+    b.ssy(skip);
+    if divergent {
+        let odd = b.bin(Op2::And, Ty::U32, tid, 1i32);
+        let even = b.setp(CmpOp::Eq, Ty::U32, odd, 0i32);
+        b.bra_if(skip, even, true);
+    }
+    if space == Space::Global {
+        let input = b.ld_param(0, Ty::U64);
+        let a = b.bin(Op2::Add, Ty::U64, input, at);
+        let x = b.ld(Space::Global, Ty::U32, Address::base(Operand::Reg(a)));
+        b.mov_to(Ty::U32, v, x);
+    } else {
+        b.st(Space::Shared, Ty::U32, Address::base(Operand::Reg(at)), tid);
+    }
+    b.place_label(skip);
+    b.sync();
+    if space == Space::Shared {
+        b.bar();
+        let x = b.ld(Space::Shared, Ty::U32, Address::base(Operand::Reg(off)));
+        b.mov_to(Ty::U32, v, x);
+    }
+    let out = b.ld_param(1, Ty::U64);
+    let a = b.bin(Op2::Add, Ty::U64, out, off);
+    b.st(Space::Global, Ty::U32, Address::base(Operand::Reg(a)), v);
+    b.finish().resolve().unwrap()
+}
+
+#[test]
+fn a_faulting_lane_in_a_warp_access_matches_across_tiers() {
+    // The decoded tier runs a global or shared access warp-wide only when
+    // no lane can fault; one bad lane must send it down the per-lane path,
+    // with the interpreter's fault site, memcheck records and memory.
+    let device = DeviceSpec::gtx480();
+    for space in [Space::Global, Space::Shared] {
+        for broken in [Broken::OutOfBounds, Broken::Misaligned] {
+            for divergent in [false, true] {
+                let kernel = lane7_kernel(space, broken, divergent);
+                let run = |tier: ExecTier, memcheck: bool| {
+                    let mut gmem = GlobalMemory::new(1 << 16);
+                    let input = gmem.alloc(400).unwrap();
+                    let out = gmem.alloc(400).unwrap();
+                    let xs: Vec<u32> = (0..100).map(|i| 1000 + i).collect();
+                    gmem.write_u32_slice(input, &xs).unwrap();
+                    let cfg = LaunchConfig::new(1u32, 100u32).arg_ptr(input).arg_ptr(out);
+                    let opts = ExecOptions::serial().memcheck(memcheck).tier(tier);
+                    let r = launch_with(&device, &kernel, &mut gmem, &[], &cfg, &opts);
+                    (r, gmem.read_u32_slice(out, 100).unwrap())
+                };
+                let case = format!("{space:?} {broken:?} divergent {divergent}");
+
+                let base = fault_of(run(ExecTier::Interp, false).0);
+                assert_eq!(base.site.unwrap().thread, [39, 0, 0], "{case}");
+                match broken {
+                    Broken::OutOfBounds => {
+                        assert!(matches!(base.kind, FaultKind::OutOfBounds { .. }), "{case}")
+                    }
+                    Broken::Misaligned => {
+                        assert!(matches!(base.kind, FaultKind::Misaligned { .. }), "{case}")
+                    }
+                }
+                assert_eq!(fault_of(run(ExecTier::Decoded, false).0), base, "{case}");
+
+                let (r, mem) = run(ExecTier::Interp, true);
+                let r = r.unwrap();
+                assert_eq!(r.faults.len(), 1, "{case}");
+                assert_eq!(r.faults[0].site.unwrap().thread, [39, 0, 0], "{case}");
+                let (got, got_mem) = run(ExecTier::Decoded, true);
+                let got = got.unwrap();
+                assert_eq!(got.faults, r.faults, "memcheck records, {case}");
+                assert_eq!(got.stats, r.stats, "stats, {case}");
+                assert_eq!(got_mem, mem, "memory, {case}");
+            }
+        }
+    }
+}
