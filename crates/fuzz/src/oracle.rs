@@ -14,7 +14,9 @@
 //! | device      | gtx280/hd5870/intel920/cellbe, cuda/interp/1t | memory when Ok; fault kind when faulting |
 //!
 //! "Full" equality = bit-equal buffer contents, `ExecStats` equal, and
-//! fault kind + site equal. The front-end axis is looser by design: the
+//! fault kind + site equal. On every axis, a completed run whose counters
+//! break a conservation law (`ExecStats::check_conservation`) is a
+//! divergence too. The front-end axis is looser by design: the
 //! two compilers emit different instruction schedules, so `ExecStats`
 //! and fault sites legitimately differ — but completed results must be
 //! bit-equal (the generator's guard rails exclude the documented
@@ -73,6 +75,8 @@ pub struct Snapshot {
     pub stats: Option<ExecStats>,
     /// Memcheck-recorded faults (empty when memcheck was off).
     pub recorded: Vec<DeviceFault>,
+    /// The counter conservation law `stats` break, if any.
+    pub broken_law: Option<String>,
 }
 
 /// The differential oracle.
@@ -265,6 +269,7 @@ fn run(
             Ok(Snapshot {
                 outcome: Ok(()),
                 mems,
+                broken_law: report.stats.check_conservation(device.warp_width).err(),
                 stats: Some(report.stats),
                 recorded: report.faults,
             })
@@ -274,6 +279,7 @@ fn run(
             mems: Vec::new(),
             stats: None,
             recorded: Vec::new(),
+            broken_law: None,
         }),
         Err(e) => Err(format!("launch setup failed: {e:?}")),
     }
@@ -288,6 +294,9 @@ fn compare_full(axis: &str, a: &Snapshot, b: &Snapshot) -> Option<Divergence> {
             detail,
         })
     };
+    if let Some(law) = broken_law(a, b) {
+        return diverge(law);
+    }
     match (&a.outcome, &b.outcome) {
         (Ok(()), Ok(())) => {
             if let Some(d) = first_mem_diff(a, b) {
@@ -331,6 +340,9 @@ fn compare_frontend(axis: &str, a: &Snapshot, b: &Snapshot) -> Option<Divergence
             detail,
         })
     };
+    if let Some(law) = broken_law(a, b) {
+        return diverge(law);
+    }
     match (&a.outcome, &b.outcome) {
         (Ok(()), Ok(())) => first_mem_diff(a, b).and_then(diverge),
         (Err(fa), Err(fb)) => {
@@ -345,6 +357,12 @@ fn compare_frontend(axis: &str, a: &Snapshot, b: &Snapshot) -> Option<Divergence
         (Ok(()), Err(f)) => diverge(format!("ref completed but run faulted: {f:?}")),
         (Err(f), Ok(())) => diverge(format!("ref faulted ({f:?}) but run completed")),
     }
+}
+
+/// The conservation law either run's counters break. Every run of the
+/// matrix is one side of some comparison, so every run is checked.
+fn broken_law(a: &Snapshot, b: &Snapshot) -> Option<String> {
+    a.broken_law.clone().or_else(|| b.broken_law.clone())
 }
 
 /// First byte-level difference between two completed snapshots.
@@ -388,5 +406,22 @@ mod tests {
         let verdict = oracle.check(&case).expect("oracle should run");
         let d = verdict.expect("mutation must be detected");
         assert_eq!(d.axis, "tier:cuda/decoded/8t");
+    }
+
+    #[test]
+    fn a_broken_counter_law_is_a_divergence_on_every_axis() {
+        let case = generate(case_seed(8, 0));
+        let snap = Oracle::new().reference_snapshot(&case).unwrap();
+        assert_eq!(snap.broken_law, None);
+        let broken = Snapshot {
+            broken_law: Some("counter law broken: test".into()),
+            ..snap.clone()
+        };
+        for (a, b) in [(&snap, &broken), (&broken, &snap)] {
+            let d = compare_full("full", a, b).expect("full equality checks the laws");
+            assert_eq!(d.detail, "counter law broken: test");
+            let d = compare_frontend("front", a, b).expect("loose equality checks the laws");
+            assert_eq!(d.axis, "front");
+        }
     }
 }

@@ -151,8 +151,8 @@ fn victim_recovers_to_baseline_after_reset() {
 const FAR: i32 = 4096;
 
 /// `p[gid + FAR] = 0x5a5a5a5a` by a plain store, plus `p[gid + 2 * FAR]
-/// += 7` by a global atomic when `atomic` (which puts the whole launch on
-/// the simulator's coherent path instead of per-block overlays).
+/// += 7` by a global atomic when `atomic` (which runs the launch's blocks
+/// serially through one overlay instead of one overlay per block).
 fn poke_kernel(atomic: bool) -> KernelDef {
     let mut k = DslKernel::new(if atomic { "poke_atomic" } else { "poke" });
     let p = k.param_ptr("p");

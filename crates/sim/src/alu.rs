@@ -3,10 +3,7 @@
 //! These are pure free functions shared by both execution tiers — the
 //! reference interpreter in [`crate::exec`] and the warp-wide dispatch loop
 //! in [`crate::dispatch`] — so tier parity of scalar arithmetic holds by
-//! construction. [`dram_traffic`] also lives here because both block
-//! interpreters and the merge-time L2 replay charge traffic through it;
-//! every counter it touches is a commutative sum, so per-block accounting
-//! merges exactly.
+//! construction.
 //!
 //! **NaN bits are part of bit-identity.** Every NaN a float operation
 //! produces (`alu1`/`alu2`/`alu3` on float types, conversions to or from a
@@ -23,10 +20,8 @@
 //! no NaNs and are `#[inline(always)]`, so warp-wide loops can specialise
 //! them.
 
-use crate::device::DeviceSpec;
 use crate::error::FaultKind;
 use crate::mem::{load_le, store_le, with_size};
-use crate::stats::ExecStats;
 use gpucmp_ptx::{CmpOp, Op1, Op2, Op3, Space, Ty};
 
 /// Run `$body` with `$c` bound to a constant equal to the runtime value
@@ -61,34 +56,6 @@ macro_rules! with_cmp {
     };
 }
 pub(crate) use {with_cmp, with_const, with_ty};
-
-/// Account DRAM traffic, including the per-partition striping that
-/// produces GT200's partition-camping behaviour.
-pub(crate) fn dram_traffic(
-    device: &DeviceSpec,
-    stats: &mut ExecStats,
-    addr: u64,
-    bytes: u64,
-    is_store: bool,
-) {
-    if is_store {
-        stats.dram_write_bytes += bytes;
-    } else {
-        stats.dram_read_bytes += bytes;
-    }
-    // At most `MAX_DRAM_PARTITIONS`, which every launch validates.
-    let parts = device.dram_partitions.max(1) as u64;
-    let stripe = addr / 256;
-    // Local (spill) space lives in the reserved high range; hardware
-    // interleaves it per-lane, which spreads partitions like a hash.
-    let p = if device.partition_hashed || addr >= (1u64 << 40) {
-        // Fermi-style address hash spreads any pattern evenly.
-        (stripe.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % parts
-    } else {
-        stripe % parts
-    };
-    stats.partition_bytes[p as usize] += bytes;
-}
 
 #[inline]
 pub(crate) fn f32b(v: u64) -> f32 {

@@ -28,8 +28,6 @@ pub struct Cache {
     /// `tags[set * assoc + way]`; `u64::MAX` = invalid. Most recently used
     /// first within each set (simple move-to-front LRU).
     tags: Vec<u64>,
-    hits: u64,
-    misses: u64,
 }
 
 impl Cache {
@@ -53,8 +51,6 @@ impl Cache {
             sets,
             assoc,
             tags: vec![u64::MAX; (sets as usize) * assoc],
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -77,46 +73,28 @@ impl Cache {
         if let Some(pos) = ways.iter().position(|&t| t == line_addr) {
             // move-to-front
             ways[..=pos].rotate_right(1);
-            self.hits += 1;
             CacheAccess::Hit
         } else {
             ways.rotate_right(1);
             ways[0] = line_addr;
-            self.misses += 1;
             CacheAccess::Miss
         }
-    }
-
-    /// Hits since construction.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses since construction.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Hit rate in `[0, 1]`; zero when no accesses occurred.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Invalidate all lines (e.g. between kernel launches for non-coherent
-    /// texture caches).
-    pub fn invalidate(&mut self) {
-        self.tags.fill(u64::MAX);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Access every address in order and count the (hits, misses).
+    fn count(c: &mut Cache, addrs: impl IntoIterator<Item = u64>) -> (u64, u64) {
+        addrs
+            .into_iter()
+            .fold((0, 0), |(h, m), a| match c.access(a) {
+                CacheAccess::Hit => (h + 1, m),
+                CacheAccess::Miss => (h, m + 1),
+            })
+    }
 
     #[test]
     fn repeated_access_hits() {
@@ -125,9 +103,6 @@ mod tests {
         assert_eq!(c.access(4), CacheAccess::Hit); // same line
         assert_eq!(c.access(63), CacheAccess::Hit);
         assert_eq!(c.access(64), CacheAccess::Miss); // next line
-        assert_eq!(c.hits(), 2);
-        assert_eq!(c.misses(), 2);
-        assert!((c.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -146,43 +121,22 @@ mod tests {
     #[test]
     fn working_set_larger_than_cache_thrashes() {
         let mut c = Cache::new(1024, 64, 4); // 16 lines
-                                             // stream over 64 lines twice: second pass still misses (LRU thrash)
-        for _pass in 0..2 {
-            for i in 0..64u64 {
-                c.access(i * 64);
-            }
-        }
-        assert_eq!(c.misses(), 128);
-        assert_eq!(c.hits(), 0);
+                                             // Stream over 64 lines twice: the second pass still misses (LRU thrash).
+        let pass = (0..64u64).map(|i| i * 64);
+        assert_eq!(count(&mut c, pass.clone().chain(pass)), (0, 128));
     }
 
     #[test]
     fn small_working_set_fits() {
         let mut c = Cache::new(8 * 1024, 64, 8);
-        for _pass in 0..10 {
-            for i in 0..16u64 {
-                c.access(i * 64);
-            }
-        }
-        assert_eq!(c.misses(), 16);
-        assert_eq!(c.hits(), 16 * 9);
-    }
-
-    #[test]
-    fn invalidate_clears_lines() {
-        let mut c = Cache::new(1024, 64, 4);
-        c.access(0);
-        c.invalidate();
-        assert_eq!(c.access(0), CacheAccess::Miss);
+        let passes = (0..10).flat_map(|_| (0..16u64).map(|i| i * 64));
+        assert_eq!(count(&mut c, passes), (16 * 9, 16));
     }
 
     #[test]
     fn odd_geometry_does_not_panic() {
         // size not a power of two multiple: sets round to a power of two.
         let mut c = Cache::new(12 * 1024, 32, 8);
-        for i in 0..1000u64 {
-            c.access(i * 32);
-        }
-        assert_eq!(c.hits() + c.misses(), 1000);
+        assert_eq!(count(&mut c, (0..1000u64).map(|i| i * 32)), (0, 1000));
     }
 }

@@ -9,34 +9,32 @@
 //! devices (the paper's Table VI "FL" rows).
 //!
 //! Thread blocks are independent (they synchronize only via `bar.sync`
-//! *within* a block), so [`run_launch_with_code`] simulates them across a
+//! *within* a block), so `run_launch_with_code` simulates them across a
 //! host thread pool: every block interprets against the launch-entry
 //! global-memory image through a private copy-on-write [`WriteOverlay`],
 //! accumulates its own [`ExecStats`], and records its L2-bound traffic as
-//! an event stream.
+//! an event stream (the cost model, module `cost`).
 //! After the join, per-block results are merged in ascending block index —
 //! stats add, L2 events replay through the device-wide L2 model, overlays
 //! commit to global memory — which makes the result a pure function of the
 //! launch inputs: `threads = 1` and `threads = N` are bit-identical by
 //! construction. Kernels that perform *global* atomics (cross-block
-//! read-modify-writes) take a coherent serial fallback so atomics resolve
-//! in deterministic block order.
+//! read-modify-writes) run their blocks serially, in ascending order,
+//! through one overlay carried across the launch, so each block reads the
+//! earlier blocks' writes; the launch then merges as one outcome.
 
 use crate::alu::{
-    alu1, alu2, alu3, compare, convert, dram_traffic, float_bits, load_extend, read_bytes, with_ty,
-    write_bytes,
+    alu1, alu2, alu3, compare, convert, float_bits, load_extend, read_bytes, with_ty, write_bytes,
 };
-use crate::cache::{Cache, CacheAccess};
+use crate::cache::Cache;
+use crate::cost::{replay_l2, AccessKind, L2Event, MemModel};
 use crate::decode::{
     decode_kernel, decode_src, issue_cost_millicycles, DAddr, DSrc, DecodedKernel, ExecTier,
 };
 use crate::device::DeviceSpec;
 use crate::error::{DeviceFault, FaultKind, FaultSite, SimError};
 use crate::launch::{Dim3, LaunchConfig, TexBinding};
-use crate::mem::{
-    bank_conflict_degree, coalesce_segments, distinct_ascending, lanes_fit, read_lanes_in,
-    write_lanes_in, Divisor, GlobalMemory, WriteOverlay,
-};
+use crate::mem::{lanes_fit, read_lanes_in, write_lanes_in, GlobalMemory, WriteOverlay};
 use crate::stats::{ExecStats, MAX_DRAM_PARTITIONS};
 use gpucmp_ptx::{AtomOp, Inst, Op1, Op2, Operand, Reg, ResolvedKernel, Space, Special, Ty};
 use std::time::Instant;
@@ -165,8 +163,8 @@ pub struct ExecProfile {
     /// Host wall-clock spent merging per-block results (stats, L2 replay,
     /// overlay commit).
     pub host_merge_ns: u64,
-    /// Bytes of global memory committed from per-block write overlays
-    /// (zero on the coherent serial path, which writes through).
+    /// Bytes of global memory committed from write overlays (one per block,
+    /// or one per launch for a kernel with global atomics).
     pub overlay_bytes: u64,
 }
 
@@ -182,37 +180,7 @@ impl ExecProfile {
     }
 }
 
-/// One L2-bound memory transaction recorded during snapshot execution and
-/// replayed through the device-wide L2 at merge time.
-#[derive(Clone, Copy, Debug)]
-struct L2Event {
-    addr: u64,
-    bytes: u64,
-    store: bool,
-}
-
-/// How a block's global-memory traffic reaches memory.
-enum GmemPath<'a> {
-    /// Direct mutable access with the device-wide L2 inline — the serial
-    /// fallback used when a kernel performs global atomics, whose
-    /// cross-block read-modify-writes must resolve in deterministic
-    /// (ascending) block order.
-    Coherent {
-        gmem: &'a mut GlobalMemory,
-        l2: Option<Cache>,
-    },
-    /// Per-block snapshot: reads see the launch-entry image plus this
-    /// block's own writes; writes land in a private overlay; L2-bound
-    /// traffic is recorded for ascending-order replay at merge time.
-    Snapshot {
-        base: &'a GlobalMemory,
-        overlay: WriteOverlay,
-        events: Vec<L2Event>,
-        record_l2: bool,
-    },
-}
-
-/// Everything a block produces under snapshot execution.
+/// Everything a block produces (or, under global atomics, a whole launch).
 struct BlockOutcome {
     stats: ExecStats,
     overlay: WriteOverlay,
@@ -225,7 +193,8 @@ struct BlockOutcome {
 /// block are the same for every host thread count).
 const MEMCHECK_BLOCK_CAP: usize = 64;
 /// Cap on memcheck faults reported per launch, applied in ascending block
-/// index order at merge time.
+/// index order at merge time (and while recording, when one interpreter
+/// runs a whole launch).
 const MEMCHECK_LAUNCH_CAP: usize = 256;
 
 /// Validate a launch configuration against the device and kernel.
@@ -266,36 +235,20 @@ fn validate_launch(
     Ok(())
 }
 
-/// Replay one block's recorded L2-bound traffic through the device-wide L2.
-/// Replaying blocks in ascending index order reproduces exactly the L2
-/// state evolution (hits, misses, DRAM traffic) of serial block execution.
-fn replay_l2(device: &DeviceSpec, l2: &mut Cache, stats: &mut ExecStats, events: &[L2Event]) {
-    for e in events {
-        stats.l2_touched_bytes += e.bytes;
-        match l2.access(e.addr) {
-            CacheAccess::Hit => stats.l2_hits += 1,
-            CacheAccess::Miss => {
-                stats.l2_misses += 1;
-                dram_traffic(device, stats, e.addr, e.bytes, e.store);
-            }
-        }
-    }
-}
-
 /// Execute every block of a launch, in parallel across `opts.threads` host
 /// threads, and return the merged statistics, host-side profiling, and the
 /// memcheck fault log (empty unless `opts.memcheck` found violations).
 ///
 /// Results are bit-identical for every thread count: blocks run against
 /// private snapshots and merge in ascending block index. Kernels with
-/// global atomics run serially on a coherent path at any thread count.
+/// global atomics run their blocks serially at any thread count.
 ///
 /// When `opts.tier` is [`ExecTier::Decoded`] and `code` is `Some`, the
 /// launch executes that pre-decoded body (the session code cache path — one
 /// decode per distinct kernel). With `code == None` the kernel is decoded
 /// here, once per launch. On [`ExecTier::Interp`] any provided `code` is
 /// ignored and the reference interpreter runs.
-pub fn run_launch_with_code(
+pub(crate) fn run_launch_with_code(
     device: &DeviceSpec,
     kernel: &ResolvedKernel,
     gmem: &mut GlobalMemory,
@@ -345,133 +298,118 @@ pub fn run_launch_with_code(
     });
 
     let t_exec = Instant::now();
-    if has_global_atomics {
-        profile.host_threads = 1;
-        let path = GmemPath::Coherent {
-            gmem,
-            l2: device.l2.map(Cache::from_geom),
-        };
-        let mut exec = BlockExec::new(device, kernel, cfg, const_bank, opts.memcheck, code, path);
-        let mut result = Ok(());
-        for b in 0..blocks {
-            result = exec.run_linear_block(b);
-            if result.is_err() {
-                break;
-            }
-        }
-        stats.merge(&exec.stats);
-        let mut faults = std::mem::take(&mut exec.faults);
-        faults.truncate(MEMCHECK_LAUNCH_CAP);
-        profile.host_exec_ns = t_exec.elapsed().as_nanos() as u64;
-        result.map_err(SimError::Fault)?;
-        return Ok((stats, profile, faults));
-    }
-
-    let workers = opts.resolved_threads().clamp(1, blocks as usize);
-    profile.host_threads = workers;
     let base: &GlobalMemory = &*gmem;
-    // Blocks are assigned round-robin (block i -> worker i % workers); each
-    // worker reuses one interpreter, resets the per-block instruction
-    // budget, and stops its span at the first error.
-    let run_span = |worker: usize| -> Vec<(u64, Result<BlockOutcome, DeviceFault>)> {
-        let mut out = Vec::new();
-        let path = GmemPath::Snapshot {
-            base,
-            overlay: WriteOverlay::new(),
-            events: Vec::new(),
-            record_l2: device.l2.is_some(),
-        };
-        let mut exec = BlockExec::new(device, kernel, cfg, const_bank, opts.memcheck, code, path);
-        let mut b = worker as u64;
-        while b < blocks {
-            exec.budget = cfg.inst_budget;
-            match exec.run_linear_block(b) {
-                Ok(()) => out.push((b, Ok(exec.take_snapshot_outcome()))),
-                Err(e) => {
-                    out.push((b, Err(e)));
-                    break;
-                }
-            }
-            b += workers as u64;
-        }
-        out
-    };
-
-    let mut results: Vec<Option<Result<BlockOutcome, DeviceFault>>> = Vec::new();
-    results.resize_with(blocks as usize, || None);
-    if workers == 1 {
-        for (b, r) in run_span(0) {
-            results[b as usize] = Some(r);
-        }
+    // What to merge, in ascending block order: outcomes, up to the fault
+    // that stopped the launch.
+    let mut runs: Vec<Result<BlockOutcome, DeviceFault>> = Vec::new();
+    if has_global_atomics {
+        // Cross-block read-modify-writes resolve in block order: one
+        // interpreter runs every block in turn through one overlay, so each
+        // block reads the earlier blocks' writes. The instruction budget
+        // and the memcheck cap span the launch. On a fault the overlay
+        // still commits, so memory holds every write made before the
+        // faulting instruction.
+        profile.host_threads = 1;
+        let mut exec = BlockExec::new(device, kernel, cfg, const_bank, opts.memcheck, code, base);
+        exec.fault_cap = MEMCHECK_LAUNCH_CAP;
+        let result = (0..blocks).try_for_each(|b| exec.run_linear_block(b));
+        runs.push(Ok(exec.take_outcome()));
+        runs.extend(result.err().map(Err));
     } else {
-        let run_span = &run_span;
-        let spans = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers).map(|w| s.spawn(move || run_span(w))).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("simulation worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for span in spans {
-            for (b, r) in span {
-                results[b as usize] = Some(r);
+        let workers = opts.resolved_threads().clamp(1, blocks as usize);
+        profile.host_threads = workers;
+        // Blocks are assigned round-robin (block i -> worker i % workers);
+        // each worker reuses one interpreter, resets the per-block
+        // instruction budget, and stops its span at the first error.
+        let run_span = |worker: usize| -> Vec<(u64, Result<BlockOutcome, DeviceFault>)> {
+            let mut out = Vec::new();
+            let mut exec =
+                BlockExec::new(device, kernel, cfg, const_bank, opts.memcheck, code, base);
+            let mut b = worker as u64;
+            while b < blocks {
+                exec.budget = cfg.inst_budget;
+                match exec.run_linear_block(b) {
+                    Ok(()) => out.push((b, Ok(exec.take_outcome()))),
+                    Err(e) => {
+                        out.push((b, Err(e)));
+                        break;
+                    }
+                }
+                b += workers as u64;
             }
+            out
+        };
+        let spans = if workers == 1 {
+            vec![run_span(0)]
+        } else {
+            let run_span = &run_span;
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..workers).map(|w| s.spawn(move || run_span(w))).collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("simulation worker panicked"))
+                    .collect()
+            })
+        };
+        let mut slots: Vec<Option<Result<BlockOutcome, DeviceFault>>> = Vec::new();
+        slots.resize_with(blocks as usize, || None);
+        for (b, r) in spans.into_iter().flatten() {
+            slots[b as usize] = Some(r);
         }
+        // An empty slot lies past a worker's fault, where the merge stops.
+        runs.extend(slots.into_iter().flatten());
     }
     profile.host_exec_ns = t_exec.elapsed().as_nanos() as u64;
 
     // Merge in ascending block order: stats add, L2 events replay through
-    // the device-wide L2, overlays commit to global memory. On error the
-    // blocks below the first failing index are committed first — exactly
-    // the memory state serial execution leaves behind.
+    // the device-wide L2, overlays commit to global memory. On a fault the
+    // launch stops there. Every block below the faulting one is committed
+    // first; the faulting block's own writes are dropped, except under
+    // global atomics, whose one outcome holds the writes made before the
+    // fault.
     let t_merge = Instant::now();
     let mut l2 = device.l2.map(Cache::from_geom);
     let mut faults: Vec<DeviceFault> = Vec::new();
-    for slot in results {
-        let Some(r) = slot else {
-            // Only reachable past a worker's error entry, which returns
-            // first in this ascending scan.
-            break;
-        };
-        match r {
-            Ok(outcome) => {
-                stats.merge(&outcome.stats);
-                if let Some(l2) = &mut l2 {
-                    replay_l2(device, l2, &mut stats, &outcome.events);
-                }
-                profile.overlay_bytes += outcome.overlay.commit(gmem);
-                if faults.len() < MEMCHECK_LAUNCH_CAP {
-                    let room = MEMCHECK_LAUNCH_CAP - faults.len();
-                    faults.extend(outcome.faults.into_iter().take(room));
-                }
-            }
-            Err(e) => return Err(SimError::Fault(e)),
+    for run in runs {
+        let outcome = run.map_err(SimError::Fault)?;
+        stats.merge(&outcome.stats);
+        if let Some(l2) = &mut l2 {
+            replay_l2(device, l2, &mut stats, &outcome.events);
         }
+        profile.overlay_bytes += outcome.overlay.commit(gmem);
+        let room = MEMCHECK_LAUNCH_CAP - faults.len();
+        faults.extend(outcome.faults.into_iter().take(room));
     }
     profile.host_merge_ns = t_merge.elapsed().as_nanos() as u64;
+    debug_assert_eq!(stats.check_conservation(device.warp_width), Ok(()));
     Ok((stats, profile, faults))
 }
 
 /// The interpreter for one thread block at a time.
 ///
-/// Owns all per-block cache state and statistics; global memory is reached
-/// through a [`GmemPath`]. Use [`crate::launch::launch_with`] for the
-/// one-call wrapper that also produces timing.
+/// Reads global memory as the launch-entry image `base` plus the writes in
+/// its own `overlay`, and charges every memory access to its cost model.
+/// Use [`crate::launch::launch_with`] for the one-call wrapper that also
+/// produces timing.
 pub(crate) struct BlockExec<'a> {
     pub(crate) device: &'a DeviceSpec,
     pub(crate) kernel: &'a ResolvedKernel,
-    path: GmemPath<'a>,
+    /// Global memory as the launch found it: read-only while blocks run.
+    base: &'a GlobalMemory,
+    /// Copy-on-write pages of every global write since the last
+    /// [`BlockExec::take_outcome`].
+    overlay: WriteOverlay,
     const_bank: &'a [u8],
     textures: &'a [TexBinding],
     /// Parameter slots as raw 64-bit images.
     param_bytes: Vec<u8>,
     grid: Dim3,
     block: Dim3,
-    /// Statistics for the block(s) run so far (snapshot workers drain this
-    /// after every block; the coherent path accumulates across the launch).
+    /// Statistics since the last [`BlockExec::take_outcome`]: one block's,
+    /// or a whole launch's under global atomics.
     pub(crate) stats: ExecStats,
-    /// Remaining warp-instruction budget (per block under snapshot
-    /// execution, per launch on the coherent path).
+    /// Remaining warp-instruction budget (per block, or per launch under
+    /// global atomics).
     pub(crate) budget: u64,
     /// Pre-decoded dispatch IR (`None` on the interp reference tier).
     code: Option<&'a DecodedKernel>,
@@ -479,37 +417,15 @@ pub(crate) struct BlockExec<'a> {
     pub(crate) file: LaneFile,
     /// Lane buffers of the current warp instruction.
     pub(crate) bufs: LaneBufs,
-    /// The device's coalescing segment (`segment_bytes`, at least 32).
-    seg: Divisor,
-    /// The device's shared-memory bank count (at least 1).
-    banks: Divisor,
-    /// Texture fetch granularity: the texture cache line, or the segment on
-    /// devices without one.
-    tex_line: Divisor,
-    /// Constant fetch granularity: the constant cache line, or 64 bytes.
-    const_line: Divisor,
+    /// The memory cost model: per-block caches and the L2 event log.
+    mem: MemModel<'a>,
     // ---- per-block state (reused across blocks to avoid reallocation) ----
     shared: Vec<u8>,
     local: Vec<u8>,
     pub(crate) warps: Vec<WarpState>,
-    l1: Option<Cache>,
-    texc: Option<Cache>,
-    constc: Option<Cache>,
-    /// Scratch: per-lane addresses of the current memory instruction.
+    /// Scratch: per-lane addresses of the current memory instruction, the
+    /// input of both the cost model and the functional access.
     lane_addr: Vec<(u32, u64)>,
-    /// Scratch: distinct memory segments of one coalesce group.
-    seg_scratch: Vec<u64>,
-    /// Scratch: (bank, word) pairs of one shared-memory banking group.
-    word_scratch: Vec<(u64, u64)>,
-    /// Scratch: the words of one banking group's lanes.
-    lane_words: [u64; 64],
-    /// Scratch: distinct constant-space addresses of one warp access.
-    addr_scratch: Vec<u64>,
-    /// Scratch: distinct cache lines of one warp access.
-    line_scratch: Vec<u64>,
-    /// Linear id of the block currently executing (for the local-memory
-    /// address model).
-    cur_block: u64,
     /// Launch-configured warp-instruction budget (reported in Watchdog
     /// faults; `budget` below counts down from it).
     pub(crate) budget_limit: u64,
@@ -521,9 +437,12 @@ pub(crate) struct BlockExec<'a> {
     pub(crate) cur_tid: u32,
     /// Memcheck sanitizer: record access faults instead of aborting.
     memcheck: bool,
-    /// Access faults recorded under memcheck (drained per block on the
-    /// snapshot path, accumulated per launch on the coherent path).
+    /// Access faults recorded under memcheck since the last
+    /// [`BlockExec::take_outcome`].
     faults: Vec<DeviceFault>,
+    /// Most faults `faults` keeps: per block, or per launch under global
+    /// atomics.
+    fault_cap: usize,
 }
 
 impl<'a> BlockExec<'a> {
@@ -536,19 +455,17 @@ impl<'a> BlockExec<'a> {
         const_bank: &'a [u8],
         memcheck: bool,
         code: Option<&'a DecodedKernel>,
-        path: GmemPath<'a>,
+        base: &'a GlobalMemory,
     ) -> Self {
         let mut param_bytes = Vec::with_capacity(cfg.params.len() * 8);
         for p in &cfg.params {
             param_bytes.extend_from_slice(&p.to_le_bytes());
         }
-        let line_of = |g: Option<crate::device::CacheGeom>, default: u64| {
-            Divisor::new(g.map_or(default, |g| Cache::from_geom(g).line_bytes()))
-        };
         BlockExec {
             device,
             kernel,
-            path,
+            base,
+            overlay: WriteOverlay::new(),
             const_bank,
             textures: &cfg.textures,
             param_bytes,
@@ -564,28 +481,17 @@ impl<'a> BlockExec<'a> {
                 c: [0; 64],
                 out: [0; 64],
             },
-            seg: Divisor::new(device.segment_bytes.max(32) as u64),
-            banks: Divisor::new(device.shared_banks.max(1) as u64),
-            tex_line: line_of(device.tex_cache, device.segment_bytes as u64),
-            const_line: line_of(device.const_cache, 64),
+            mem: MemModel::new(device, kernel.kernel.local_bytes, cfg.block.count()),
             shared: Vec::new(),
             local: Vec::new(),
             warps: Vec::new(),
-            l1: None,
-            texc: None,
-            constc: None,
             lane_addr: Vec::new(),
-            seg_scratch: Vec::new(),
-            word_scratch: Vec::new(),
-            lane_words: [0; 64],
-            addr_scratch: Vec::new(),
-            line_scratch: Vec::new(),
-            cur_block: 0,
             budget_limit: cfg.inst_budget,
             cur_pc: 0,
             cur_tid: 0,
             memcheck,
             faults: Vec::new(),
+            fault_cap: MEMCHECK_BLOCK_CAP,
         }
     }
 
@@ -607,14 +513,9 @@ impl<'a> BlockExec<'a> {
         }
     }
 
-    /// Record an access fault under memcheck (capped: per block on the
-    /// snapshot path, per launch on the coherent path).
+    /// Record an access fault under memcheck, up to `fault_cap`.
     fn record_fault(&mut self, kind: FaultKind, ctaid: Dim3) {
-        let cap = match self.path {
-            GmemPath::Coherent { .. } => MEMCHECK_LAUNCH_CAP,
-            GmemPath::Snapshot { .. } => MEMCHECK_BLOCK_CAP,
-        };
-        if self.faults.len() < cap {
+        if self.faults.len() < self.fault_cap {
             let f = self.site_fault(kind, ctaid);
             self.faults.push(f);
         }
@@ -624,7 +525,7 @@ impl<'a> BlockExec<'a> {
     /// statistics accumulate in `self.stats`; the launch-level `blocks` /
     /// `threads` totals are set by the driver, not here.
     fn run_linear_block(&mut self, linear: u64) -> Result<(), DeviceFault> {
-        self.cur_block = linear;
+        self.mem.start_block(linear);
         let gx = self.grid.x as u64;
         let gy = self.grid.y as u64;
         let bx = (linear % gx) as u32;
@@ -633,44 +534,14 @@ impl<'a> BlockExec<'a> {
         self.run_block(Dim3::new(bx, by, bz))
     }
 
-    /// Drain this block's results (snapshot path only), leaving the
-    /// interpreter ready for its next block.
-    fn take_snapshot_outcome(&mut self) -> BlockOutcome {
-        let stats = std::mem::take(&mut self.stats);
-        match &mut self.path {
-            GmemPath::Snapshot {
-                overlay, events, ..
-            } => BlockOutcome {
-                stats,
-                overlay: std::mem::take(overlay),
-                events: std::mem::take(events),
-                faults: std::mem::take(&mut self.faults),
-            },
-            GmemPath::Coherent { .. } => unreachable!("snapshot outcome on coherent path"),
-        }
-    }
-
-    /// Functional global-memory read through the active path.
-    fn gmem_read(&self, addr: u64, size: u32) -> Result<u64, FaultKind> {
-        match &self.path {
-            GmemPath::Coherent { gmem, .. } => gmem.read(addr, size),
-            GmemPath::Snapshot { base, overlay, .. } => overlay.read(base, addr, size),
-        }
-    }
-
-    /// Functional global-memory write through the active path.
-    fn gmem_write(&mut self, addr: u64, size: u32, value: u64) -> Result<(), FaultKind> {
-        match &mut self.path {
-            GmemPath::Coherent { gmem, .. } => gmem.write(addr, size, value),
-            GmemPath::Snapshot { base, overlay, .. } => overlay.write(base, addr, size, value),
-        }
-    }
-
-    /// Allocation-granular global check (memcheck only).
-    fn gmem_check_alloc(&self, addr: u64, size: u64) -> Result<(), FaultKind> {
-        match &self.path {
-            GmemPath::Coherent { gmem, .. } => gmem.check_alloc(addr, size),
-            GmemPath::Snapshot { base, .. } => base.check_alloc(addr, size),
+    /// Drain the results since the last call (one block's, or a launch's),
+    /// leaving the interpreter ready for its next block.
+    fn take_outcome(&mut self) -> BlockOutcome {
+        BlockOutcome {
+            stats: std::mem::take(&mut self.stats),
+            overlay: std::mem::take(&mut self.overlay),
+            events: self.mem.take_events(),
+            faults: std::mem::take(&mut self.faults),
         }
     }
 
@@ -684,11 +555,6 @@ impl<'a> BlockExec<'a> {
         self.shared.resize(k.shared_bytes as usize, 0);
         self.local.clear();
         self.local.resize((threads * k.local_bytes) as usize, 0);
-        // Fresh per-CU caches each block (blocks land on arbitrary CUs; the
-        // conservative model gives each block a cold private cache).
-        self.l1 = self.device.l1.map(Cache::from_geom);
-        self.texc = self.device.tex_cache.map(Cache::from_geom);
-        self.constc = self.device.const_cache.map(Cache::from_geom);
 
         let num_warps = threads.div_ceil(ww);
         self.warps.clear();
@@ -1013,10 +879,9 @@ impl<'a> BlockExec<'a> {
         if self.code.is_none() || self.memcheck {
             return false;
         }
-        let limit = match (space, &self.path) {
-            (Space::Global, GmemPath::Coherent { gmem, .. }) => gmem.capacity(),
-            (Space::Global, GmemPath::Snapshot { base, .. }) => base.capacity(),
-            (Space::Shared, _) => self.shared.len() as u64,
+        let limit = match space {
+            Space::Global => self.base.capacity(),
+            Space::Shared => self.shared.len() as u64,
             _ => return false,
         };
         lanes_fit(&self.lane_addr, size, limit)
@@ -1058,15 +923,18 @@ impl<'a> BlockExec<'a> {
         }
         self.gather_addresses(v, addr);
         // Cost model first (needs the address vector), then functional reads.
-        self.account_memory(space, size, false);
+        self.mem.access(
+            space,
+            AccessKind::Load,
+            size,
+            &self.lane_addr,
+            &mut self.stats,
+        );
         if self.warp_access(space, size) {
             let (lanes, out) = (&self.lane_addr, &mut self.bufs.out[..v.n]);
-            match (space, &self.path) {
-                (Space::Shared, _) => read_lanes_in(&self.shared, lanes, size, v.base, out),
-                (_, GmemPath::Coherent { gmem, .. }) => gmem.read_lanes(lanes, size, v.base, out),
-                (_, GmemPath::Snapshot { base, overlay, .. }) => {
-                    overlay.read_lanes(base, lanes, size, v.base, out)
-                }
+            match space {
+                Space::Shared => read_lanes_in(&self.shared, lanes, size, v.base, out),
+                _ => self.overlay.read_lanes(self.base, lanes, size, v.base, out),
             }
             with_ty!(ty, T => out.iter_mut().for_each(|x| *x = load_extend(*x, T)));
             self.file.write_back(d, v, &self.bufs.out);
@@ -1079,9 +947,9 @@ impl<'a> BlockExec<'a> {
             match space {
                 Space::Global => self.ld_lanes(ctaid, T, d, |s, _, a| {
                     if s.memcheck {
-                        s.gmem_check_alloc(a, size as u64)?;
+                        s.base.check_alloc(a, size as u64)?;
                     }
-                    s.gmem_read(a, size)
+                    s.overlay.read(s.base, a, size)
                 }),
                 Space::Shared => self.ld_lanes(ctaid, T, d, |s, _, a| {
                     read_bytes(&s.shared, a, size, Space::Shared)
@@ -1132,15 +1000,20 @@ impl<'a> BlockExec<'a> {
         self.gather_addresses(v, addr);
         self.file.load(v, a, &mut self.bufs.b);
         let size = ty.size_bytes();
-        self.account_memory(space, size, true);
+        self.mem.access(
+            space,
+            AccessKind::Store,
+            size,
+            &self.lane_addr,
+            &mut self.stats,
+        );
         if self.warp_access(space, size) {
             let (lanes, vals) = (&self.lane_addr, &self.bufs.b[..v.n]);
-            match (space, &mut self.path) {
-                (Space::Shared, _) => write_lanes_in(&mut self.shared, lanes, size, v.base, vals),
-                (_, GmemPath::Coherent { gmem, .. }) => gmem.write_lanes(lanes, size, v.base, vals),
-                (_, GmemPath::Snapshot { base, overlay, .. }) => {
-                    overlay.write_lanes(base, lanes, size, v.base, vals)
-                }
+            match space {
+                Space::Shared => write_lanes_in(&mut self.shared, lanes, size, v.base, vals),
+                _ => self
+                    .overlay
+                    .write_lanes(self.base, lanes, size, v.base, vals),
             }
             return Ok(());
         }
@@ -1150,9 +1023,9 @@ impl<'a> BlockExec<'a> {
             match space {
                 Space::Global => self.st_lanes(ctaid, v, |s, _, a, x| {
                     if s.memcheck {
-                        s.gmem_check_alloc(a, size as u64)?;
+                        s.base.check_alloc(a, size as u64)?;
                     }
-                    s.gmem_write(a, size, x)
+                    s.overlay.write(s.base, a, size, x)
                 }),
                 Space::Shared => self.st_lanes(ctaid, v, |s, _, a, x| {
                     write_bytes(&mut s.shared, a, size, x, Space::Shared)
@@ -1223,34 +1096,14 @@ impl<'a> BlockExec<'a> {
             self.lane_addr
                 .push((tid, binding.ptr.0 + i as u64 * size as u64));
         }
-        // Texture path: distinct lines through the texture cache; misses go
-        // to L2 (Fermi) or DRAM (GT200/Cypress).
-        let line = self.tex_line;
-        distinct_ascending(
-            self.lane_addr.iter().map(|&(_, a)| line.div(a)),
-            &mut self.line_scratch,
+        self.mem.access(
+            Space::Global,
+            AccessKind::Tex,
+            size,
+            &self.lane_addr,
+            &mut self.stats,
         );
-        for i in 0..self.line_scratch.len() {
-            let l = self.line_scratch[i] * line.get();
-            match &mut self.texc {
-                Some(c) => match c.access(l) {
-                    CacheAccess::Hit => self.stats.tex_hits += 1,
-                    CacheAccess::Miss => {
-                        self.stats.tex_misses += 1;
-                        self.fill_from_l2_or_dram(l, line.get(), false);
-                    }
-                },
-                None => {
-                    // No texture cache on this device: straight to DRAM.
-                    // Per-line fetches are their own coalesced floor.
-                    self.stats.tex_misses += 1;
-                    self.stats.gmem_transactions += 1;
-                    self.stats.gmem_ideal_transactions += 1;
-                    dram_traffic(self.device, &mut self.stats, l, line.get(), false);
-                }
-            }
-        }
-        self.ld_lanes(ctaid, ty, d, |s, _, a| s.gmem_read(a, size))
+        self.ld_lanes(ctaid, ty, d, |s, _, a| s.overlay.read(s.base, a, size))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1271,25 +1124,17 @@ impl<'a> BlockExec<'a> {
         self.file.load(v, b, &mut self.bufs.b);
         self.file.load(v, c, &mut self.bufs.c);
         let size = ty.size_bytes();
-        // Atomics serialise per lane: cost one transaction per lane.
-        self.stats.atomics += self.lane_addr.len() as u64;
-        if space == Space::Global {
-            self.stats.gmem_transactions += self.lane_addr.len() as u64;
-            // Atomics serialise by definition; their per-lane transactions
-            // are their own floor, so they don't skew coalescing metrics.
-            self.stats.gmem_ideal_transactions += self.lane_addr.len() as u64;
-            for i in 0..self.lane_addr.len() {
-                let (_, a) = self.lane_addr[i];
-                dram_traffic(self.device, &mut self.stats, a, size as u64, false);
-                dram_traffic(self.device, &mut self.stats, a, size as u64, true);
-            }
-        } else {
-            self.stats.shared_cycles += self.lane_addr.len() as u64;
-        }
+        self.mem.access(
+            space,
+            AccessKind::Atom,
+            size,
+            &self.lane_addr,
+            &mut self.stats,
+        );
         for i in 0..self.lane_addr.len() {
             let (tid, a) = self.lane_addr[i];
             self.cur_tid = tid;
-            let old = match self.space_read_checked(space, tid, a, size) {
+            let old = match self.space_read(space, tid, a, size) {
                 Ok(v) => v,
                 Err(k) if self.memcheck && k.is_access_fault() => {
                     // Report and skip the whole read-modify-write.
@@ -1315,217 +1160,27 @@ impl<'a> BlockExec<'a> {
                     }
                 }
             };
-            self.space_write_checked(space, tid, a, size, new)?;
+            self.space_write(space, tid, a, size, new)?;
             self.file.set(d, tid, old);
         }
         Ok(())
-    }
-
-    /// Transaction/cache/bank accounting for a warp-wide global, shared,
-    /// local, const or param access whose addresses are in `self.lane_addr`.
-    fn account_memory(&mut self, space: Space, size: u32, is_store: bool) {
-        match space {
-            Space::Global => {
-                self.stats.gmem_instructions += 1;
-                let group = self.device.coalesce_group.max(1) as usize;
-                let seg = self.seg;
-                // For each coalesce group of lanes, count distinct segments.
-                let mut i = 0;
-                while i < self.lane_addr.len() {
-                    let end = (i + group).min(self.lane_addr.len());
-                    coalesce_segments(&self.lane_addr[i..end], size, seg, &mut self.seg_scratch);
-                    // Fully-coalesced floor: the same lanes touching
-                    // contiguous addresses would have needed this many
-                    // segments. The gap to the distinct-segment count is
-                    // serialisation.
-                    self.stats.gmem_ideal_transactions +=
-                        ((end - i) as u64 * size as u64).div_ceil(seg.get()).max(1);
-                    for j in 0..self.seg_scratch.len() {
-                        let s = self.seg_scratch[j];
-                        self.stats.gmem_transactions += 1;
-                        self.global_transaction(s * seg.get(), seg.get(), is_store);
-                    }
-                    i = end;
-                }
-            }
-            Space::Shared => {
-                // Bank-conflict model: within each banking group (half-warp
-                // on GT200, warp on Fermi), the access takes as many cycles
-                // as the most-contended bank has distinct words.
-                let group = self.device.coalesce_group.max(1) as usize;
-                let scale = self.device.shared_access_scale;
-                let mut i = 0;
-                while i < self.lane_addr.len() {
-                    let end = (i + group).min(self.lane_addr.len());
-                    self.stats.shared_accesses += 1;
-                    let degree = bank_conflict_degree(
-                        &self.lane_addr[i..end],
-                        self.banks,
-                        &mut self.lane_words,
-                        &mut self.word_scratch,
-                    );
-                    let cycles = (degree as f64 * scale).ceil() as u64;
-                    self.stats.shared_cycles += cycles;
-                    if degree > 1 {
-                        self.stats.shared_conflict_cycles += cycles - 1;
-                    }
-                    i = end;
-                }
-            }
-            Space::Local => {
-                // Local memory is physically lane-interleaved in device
-                // memory, so a warp's access to one per-thread slot is a
-                // fully coalesced burst. Synthesise stable per-(block,
-                // slot) addresses in a reserved high range: re-touching a
-                // slot hits the Fermi L1, while cacheless devices pay DRAM
-                // each time — the asymmetry behind the paper's Fig. 7.
-                let bytes = self.lane_addr.len() as u64 * size as u64;
-                let seg = self.seg.get();
-                let txns = bytes.div_ceil(seg);
-                let slot = self.lane_addr.first().map(|&(_, a)| a).unwrap_or(0);
-                let block_span =
-                    (self.kernel.kernel.local_bytes as u64 + 8) * self.block.count().max(1);
-                let base = (1u64 << 40)
-                    + self.cur_block * block_span.next_multiple_of(seg)
-                    + slot * self.block.count().max(1);
-                // Lane-interleaved local slots are contiguous by
-                // construction: the burst is its own coalesced floor.
-                self.stats.gmem_ideal_transactions += txns;
-                for t in 0..txns {
-                    self.stats.gmem_transactions += 1;
-                    self.global_transaction(base + t * seg, seg, is_store);
-                }
-            }
-            Space::Const => {
-                // Distinct addresses serialise; same-address is broadcast.
-                distinct_ascending(
-                    self.lane_addr.iter().map(|&(_, a)| a),
-                    &mut self.addr_scratch,
-                );
-                self.stats.const_serializations += self.addr_scratch.len() as u64 - 1;
-                let line = self.const_line;
-                self.line_scratch.clear();
-                self.line_scratch
-                    .extend(self.addr_scratch.iter().map(|&a| line.div(a)));
-                self.line_scratch.dedup();
-                self.stats.const_line_accesses += self.line_scratch.len() as u64;
-                for i in 0..self.line_scratch.len() {
-                    let l = self.line_scratch[i] * line.get();
-                    match &mut self.constc {
-                        Some(cc) => {
-                            if cc.access(l) == CacheAccess::Miss {
-                                self.stats.const_misses += 1;
-                                dram_traffic(self.device, &mut self.stats, l, line.get(), false);
-                            }
-                        }
-                        None => {
-                            self.stats.const_misses += 1;
-                            dram_traffic(self.device, &mut self.stats, l, line.get(), false);
-                        }
-                    }
-                }
-            }
-            Space::Param => {
-                // Parameter loads hit a tiny dedicated buffer: free beyond
-                // the issue cost.
-            }
-        }
-    }
-
-    /// One DRAM-side transaction of `bytes` at `addr` through the cache
-    /// hierarchy (L1 for loads on Fermi, then L2, then DRAM).
-    fn global_transaction(&mut self, addr: u64, bytes: u64, is_store: bool) {
-        if !is_store {
-            if let Some(l1) = &mut self.l1 {
-                match l1.access(addr) {
-                    CacheAccess::Hit => {
-                        self.stats.l1_hits += 1;
-                        return;
-                    }
-                    CacheAccess::Miss => {
-                        self.stats.l1_misses += 1;
-                    }
-                }
-            }
-        }
-        self.fill_from_l2_or_dram(addr, bytes, is_store);
-    }
-
-    /// Route an L1-missing (or uncached) transaction toward L2/DRAM. On the
-    /// coherent path the device-wide L2 is consulted inline; under snapshot
-    /// execution the transaction is recorded for ascending-order replay at
-    /// merge time (L2 state is the only cross-block cache state), or sent
-    /// straight to DRAM on devices without an L2.
-    fn fill_from_l2_or_dram(&mut self, addr: u64, bytes: u64, is_store: bool) {
-        match &mut self.path {
-            GmemPath::Coherent { l2: Some(l2), .. } => {
-                self.stats.l2_touched_bytes += bytes;
-                match l2.access(addr) {
-                    CacheAccess::Hit => self.stats.l2_hits += 1,
-                    CacheAccess::Miss => {
-                        self.stats.l2_misses += 1;
-                        dram_traffic(self.device, &mut self.stats, addr, bytes, is_store);
-                    }
-                }
-            }
-            GmemPath::Coherent { l2: None, .. } => {
-                dram_traffic(self.device, &mut self.stats, addr, bytes, is_store);
-            }
-            GmemPath::Snapshot {
-                events,
-                record_l2: true,
-                ..
-            } => events.push(L2Event {
-                addr,
-                bytes,
-                store: is_store,
-            }),
-            GmemPath::Snapshot {
-                record_l2: false, ..
-            } => {
-                dram_traffic(self.device, &mut self.stats, addr, bytes, is_store);
-            }
-        }
     }
 
     // ------------------------------------------------------------------
     // State-space functional access
     // ------------------------------------------------------------------
 
-    /// [`space_read`] plus the allocation-granular global check that
-    /// memcheck adds on top of the physical bounds check.
-    ///
-    /// [`space_read`]: BlockExec::space_read
-    fn space_read_checked(
-        &self,
-        space: Space,
-        tid: u32,
-        addr: u64,
-        size: u32,
-    ) -> Result<u64, FaultKind> {
-        if self.memcheck && space == Space::Global {
-            self.gmem_check_alloc(addr, size as u64)?;
-        }
-        self.space_read(space, tid, addr, size)
-    }
-
-    fn space_write_checked(
-        &mut self,
-        space: Space,
-        tid: u32,
-        addr: u64,
-        size: u32,
-        value: u64,
-    ) -> Result<(), FaultKind> {
-        if self.memcheck && space == Space::Global {
-            self.gmem_check_alloc(addr, size as u64)?;
-        }
-        self.space_write(space, tid, addr, size, value)
-    }
-
+    /// Lane `tid`'s read of `space`. A global read passes the
+    /// allocation-granular check memcheck adds on top of the physical
+    /// bounds check, and sees the overlay's writes over the base image.
     fn space_read(&self, space: Space, tid: u32, addr: u64, size: u32) -> Result<u64, FaultKind> {
         match space {
-            Space::Global => self.gmem_read(addr, size),
+            Space::Global => {
+                if self.memcheck {
+                    self.base.check_alloc(addr, size as u64)?;
+                }
+                self.overlay.read(self.base, addr, size)
+            }
             Space::Shared => read_bytes(&self.shared, addr, size, Space::Shared),
             Space::Local => self.local_read(tid, addr, size),
             Space::Const => read_bytes(self.const_bank, addr, size, Space::Const),
@@ -1533,6 +1188,8 @@ impl<'a> BlockExec<'a> {
         }
     }
 
+    /// Lane `tid`'s write of `space`, checked as [`BlockExec::space_read`]
+    /// checks a read.
     fn space_write(
         &mut self,
         space: Space,
@@ -1542,7 +1199,12 @@ impl<'a> BlockExec<'a> {
         value: u64,
     ) -> Result<(), FaultKind> {
         match space {
-            Space::Global => self.gmem_write(addr, size, value),
+            Space::Global => {
+                if self.memcheck {
+                    self.base.check_alloc(addr, size as u64)?;
+                }
+                self.overlay.write(self.base, addr, size, value)
+            }
             Space::Shared => write_bytes(&mut self.shared, addr, size, value, Space::Shared),
             Space::Local => self.local_write(tid, addr, size, value),
             Space::Const => Err(FaultKind::ReadOnly(Space::Const)),

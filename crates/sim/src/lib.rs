@@ -19,10 +19,12 @@
 //!   ([`ExecOptions`]) with per-block write overlays and stat buffers
 //!   merged in ascending block order — bit-identical at every thread
 //!   count.
-//! - [`mem`] and [`cache`] — flat global memory with a bump allocator, plus
-//!   the per-launch memory-system models: coalescing into DRAM transactions,
-//!   set-associative L1/L2/texture/constant caches, shared-memory bank
-//!   conflicts.
+//! - [`mem`] — flat global memory with a bump allocator and the
+//!   copy-on-write write overlay every block writes through.
+//! - `cost` and [`cache`] — the memory cost model, behind one entry point:
+//!   coalescing into DRAM transactions, set-associative
+//!   L1/L2/texture/constant caches, shared-memory bank conflicts, DRAM
+//!   partitions.
 //! - [`timing`] — the roofline-style cost model: compute cycles vs. DRAM
 //!   bytes vs. latency-hiding limits, modulated by occupancy.
 //!
@@ -34,6 +36,7 @@
 
 mod alu;
 pub mod cache;
+mod cost;
 pub mod decode;
 pub mod device;
 mod dispatch;
@@ -54,4 +57,4 @@ pub use launch::{
 };
 pub use mem::{DevPtr, GlobalMemory, WriteOverlay};
 pub use stats::{CounterSet, ExecStats};
-pub use timing::{kernel_time_ns, ScheduledOp, TimelineOp, TimelineResource, TimelineState};
+pub use timing::{ScheduledOp, TimelineOp, TimelineResource, TimelineState};

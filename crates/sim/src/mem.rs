@@ -1,8 +1,8 @@
 //! Device global memory: a flat byte array with a bump allocator, plus the
-//! copy-on-write page overlay that gives each thread block a private view
-//! of global memory during parallel block execution, and the pure
-//! address arithmetic of the memory cost model (coalescing segments and
-//! shared-memory bank conflicts).
+//! copy-on-write page overlay through which every launch reads and writes
+//! it — one per block during parallel block execution, one per launch for
+//! kernels with global atomics. Functional memory only: what an access
+//! costs is the cost model's business (module `cost`).
 
 use crate::error::{FaultKind, SimError};
 use gpucmp_ptx::Space;
@@ -19,83 +19,6 @@ pub(crate) fn check_aligned(space: Space, addr: u64, size: u32) -> Result<(), Fa
     } else {
         Ok(())
     }
-}
-
-/// Division and remainder by a device constant: a shift and a mask when it
-/// is a power of two (segment sizes, cache lines and bank counts of every
-/// preset device), a hardware divide otherwise.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Divisor {
-    d: u64,
-    shift: u32,
-    pow2: bool,
-}
-
-impl Divisor {
-    pub(crate) fn new(d: u64) -> Self {
-        Divisor {
-            d,
-            shift: d.trailing_zeros(),
-            pow2: d.is_power_of_two(),
-        }
-    }
-
-    /// The divisor itself.
-    #[inline]
-    pub(crate) fn get(self) -> u64 {
-        self.d
-    }
-
-    #[inline]
-    pub(crate) fn div(self, x: u64) -> u64 {
-        if self.pow2 {
-            x >> self.shift
-        } else {
-            x / self.d
-        }
-    }
-
-    #[inline]
-    pub(crate) fn rem(self, x: u64) -> u64 {
-        if self.pow2 {
-            x & (self.d - 1)
-        } else {
-            x % self.d
-        }
-    }
-}
-
-/// Collect `values` into `out` as an ascending list of distinct values.
-/// O(n) when they arrive in ascending order — a warp touching
-/// consecutive addresses, the common case — and a sort otherwise.
-pub(crate) fn distinct_ascending(values: impl IntoIterator<Item = u64>, out: &mut Vec<u64>) {
-    out.clear();
-    let mut sorted = true;
-    for v in values {
-        if let Some(&last) = out.last() {
-            if v == last {
-                continue;
-            }
-            sorted &= v > last;
-        }
-        out.push(v);
-    }
-    if !sorted {
-        out.sort_unstable();
-        out.dedup();
-    }
-}
-
-/// The distinct `seg`-byte segments touched by one coalesce group of
-/// `size`-byte lane accesses (every byte counts, so a straddling access
-/// touches two), ascending, into `out`.
-pub(crate) fn coalesce_segments(lanes: &[(u32, u64)], size: u32, seg: Divisor, out: &mut Vec<u64>) {
-    distinct_ascending(
-        lanes
-            .iter()
-            .flat_map(|&(_, a)| seg.div(a)..=seg.div(a + size as u64 - 1)),
-        out,
-    );
 }
 
 /// Whether no lane of a warp access can fault: every `size`-byte access
@@ -183,80 +106,6 @@ pub(crate) fn write_lanes_in(
             store_le::<N>(buf, a as usize, vals[tid as usize - first]);
         }
     })
-}
-
-/// Bank-conflict degree of one shared-memory banking group: the largest
-/// number of distinct 4-byte words any one bank must serve. Each bank keeps
-/// a chain of the distinct words it has seen, threaded through the lane
-/// indices (`lane_words` holds each chained lane's word), so the cost is
-/// O(lanes x degree): O(lanes) for broadcast and unit-stride access, the
-/// common cases. More than 64 banks or lanes falls back to
-/// [`bank_conflict_degree_sorted`] with `pairs` as scratch.
-pub(crate) fn bank_conflict_degree(
-    lanes: &[(u32, u64)],
-    banks: Divisor,
-    lane_words: &mut [u64; 64],
-    pairs: &mut Vec<(u64, u64)>,
-) -> u64 {
-    if banks.get() <= 1 {
-        return 1;
-    }
-    if banks.get() > 64 || lanes.len() > 64 {
-        return bank_conflict_degree_sorted(lanes, banks, pairs);
-    }
-    const NONE: u8 = u8::MAX;
-    let mut head = [NONE; 64];
-    let mut next = [NONE; 64];
-    let mut count = [0u8; 64];
-    let mut degree = 1;
-    for (k, &(_, a)) in lanes.iter().enumerate() {
-        let word = a / 4;
-        let bank = banks.rem(word) as usize;
-        let mut j = head[bank];
-        while j != NONE && lane_words[j as usize] != word {
-            j = next[j as usize];
-        }
-        if j == NONE {
-            lane_words[k] = word;
-            next[k] = head[bank];
-            head[bank] = k as u8;
-            count[bank] += 1;
-            degree = degree.max(count[bank]);
-        }
-    }
-    degree as u64
-}
-
-/// [`bank_conflict_degree`] by sorting the (bank, word) pairs and counting
-/// the longest run of one bank: the fallback, and the reference the chained
-/// count is tested against.
-pub(crate) fn bank_conflict_degree_sorted(
-    lanes: &[(u32, u64)],
-    banks: Divisor,
-    pairs: &mut Vec<(u64, u64)>,
-) -> u64 {
-    let mut degree = 1u64;
-    if banks.get() > 1 {
-        pairs.clear();
-        pairs.extend(lanes.iter().map(|&(_, a)| {
-            let word = a / 4;
-            (banks.rem(word), word)
-        }));
-        pairs.sort_unstable();
-        pairs.dedup();
-        let mut run = 0u64;
-        let mut prev_bank = u64::MAX;
-        for &(bank, _) in pairs.iter() {
-            if bank == prev_bank {
-                run += 1;
-            } else {
-                run = 1;
-                prev_bank = bank;
-            }
-            degree = degree.max(run);
-        }
-    }
-    degree
 }
 
 /// A device pointer: a byte offset into the device's global memory.
@@ -445,16 +294,6 @@ impl GlobalMemory {
         Ok(with_size!(size, N => load_le::<N>(&self.data, addr as usize)))
     }
 
-    /// Write the low `size` (1/2/4/8) bytes of `value` little-endian.
-    #[inline]
-    pub fn write(&mut self, addr: u64, size: u32, value: u64) -> Result<(), FaultKind> {
-        check_aligned(Space::Global, addr, size)?;
-        self.check(addr, size)?;
-        with_size!(size, N => store_le::<N>(&mut self.data, addr as usize, value));
-        self.wrote(addr, addr + size as u64);
-        Ok(())
-    }
-
     /// [`GlobalMemory::read`] of every lane of a warp access into
     /// `out[tid - first]`, for accesses [`lanes_fit`] has checked against
     /// [`GlobalMemory::capacity`].
@@ -466,22 +305,6 @@ impl GlobalMemory {
         out: &mut [u64],
     ) {
         read_lanes_in(&self.data, lanes, size, first, out);
-    }
-
-    /// [`GlobalMemory::write`] of every lane of a warp access, in lane
-    /// order, for accesses [`lanes_fit`] has checked against
-    /// [`GlobalMemory::capacity`].
-    pub(crate) fn write_lanes(
-        &mut self,
-        lanes: &[(u32, u64)],
-        size: u32,
-        first: usize,
-        vals: &[u64],
-    ) {
-        write_lanes_in(&mut self.data, lanes, size, first, vals);
-        for &(_, a) in lanes {
-            self.wrote(a, a + size as u64);
-        }
     }
 
     /// Host-to-device copy (`cudaMemcpy` / `clEnqueueWriteBuffer` backing).
@@ -615,7 +438,9 @@ impl Hasher for PageHasher {
 /// inputs — identical for serial and parallel execution. A block sees its
 /// own writes (copied pages carry them) but never another block's, which
 /// matches the CUDA/OpenCL memory model: global writes of concurrent
-/// blocks are not ordered until the kernel completes.
+/// blocks are not ordered until the kernel completes. A launch with global
+/// atomics instead carries one overlay across all its blocks, run in
+/// order, so each block sees the earlier blocks' writes.
 #[derive(Default)]
 pub struct WriteOverlay {
     pages: HashMap<u64, OverlayPage, BuildHasherDefault<PageHasher>>,
@@ -785,6 +610,7 @@ impl WriteOverlay {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::tests::lane_address_sets;
 
     #[test]
     fn alloc_is_aligned_and_nonnull() {
@@ -804,7 +630,7 @@ mod tests {
     fn alloc_zeroes_memory() {
         let mut m = GlobalMemory::new(1 << 12);
         let p = m.alloc(8).unwrap();
-        m.write(p.0, 8, u64::MAX).unwrap();
+        m.copy_in(p, &[0xff; 8]).unwrap();
         // bump allocator never reuses, but contents must still be zeroed on
         // fresh allocations
         let q = m.alloc(8).unwrap();
@@ -828,7 +654,7 @@ mod tests {
             (4, 0xDEADBEEF),
             (8, 0x0123456789ABCDEF),
         ] {
-            m.write(p.0, size, value).unwrap();
+            m.copy_in(p, &value.to_le_bytes()[..size as usize]).unwrap();
             assert_eq!(m.read(p.0, size).unwrap(), value);
         }
     }
@@ -848,7 +674,7 @@ mod tests {
         let p = m.alloc(64).unwrap();
         let e = m.read(p.0 + 2, 4).unwrap_err();
         assert!(matches!(e, FaultKind::Misaligned { size: 4, .. }));
-        let e = m.write(p.0 + 1, 2, 7).unwrap_err();
+        let e = WriteOverlay::new().write(&m, p.0 + 1, 2, 7).unwrap_err();
         assert!(matches!(e, FaultKind::Misaligned { size: 2, .. }));
         // byte accesses are always aligned
         assert!(m.read(p.0 + 3, 1).is_ok());
@@ -890,9 +716,8 @@ mod tests {
     fn paged_memory() -> (GlobalMemory, u64) {
         let mut m = GlobalMemory::new(1 << 16);
         let p = m.alloc(8 * PAGE_BYTES as u64).unwrap();
-        for i in 0..8 * PAGE_BYTES as u64 {
-            m.write(p.0 + i, 1, i & 0xff).unwrap();
-        }
+        let bytes: Vec<u8> = (0..8 * PAGE_BYTES).map(|i| i as u8).collect();
+        m.copy_in(p, &bytes).unwrap();
         (m, (p.0 + 4 * PAGE_BYTES as u64) & !PAGE_MASK)
     }
 
@@ -960,77 +785,6 @@ mod tests {
         );
     }
 
-    /// A tiny deterministic generator for the cost-model property tests.
-    struct Lcg(u64);
-
-    impl Lcg {
-        fn next(&mut self) -> u64 {
-            self.0 = self
-                .0
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            self.0 >> 33
-        }
-    }
-
-    /// Lane-address sets a warp produces: broadcast, strides of 1, 2 and 32
-    /// words (forwards and backwards), straddling accesses, and random
-    /// scatters, for groups of 16, 32 and 64 lanes.
-    fn lane_address_sets() -> Vec<(u32, Vec<(u32, u64)>)> {
-        let mut rng = Lcg(0x5eed);
-        let mut sets = Vec::new();
-        for lanes in [16u64, 32, 64] {
-            for size in [1u32, 2, 4, 8] {
-                let base = 4096 + rng.next() % 512 * size as u64;
-                let mut push = |f: &dyn Fn(u64) -> u64| {
-                    sets.push((size, (0..lanes).map(|l| (l as u32, f(l))).collect()));
-                };
-                push(&|_| base);
-                for stride_words in [1u64, 2, 32] {
-                    push(&|l| base + l * stride_words * 4);
-                    push(&|l| base + (lanes - 1 - l) * stride_words * 4);
-                }
-                // Unaligned starts straddle segment boundaries.
-                push(&|l| base + 61 + l * 3 * size as u64);
-                push(&|l| base + 127 + l * 64);
-                let scatter: Vec<u64> = (0..lanes).map(|_| rng.next() % 8192).collect();
-                push(&|l| scatter[l as usize]);
-                let few: Vec<u64> = (0..lanes).map(|_| base + rng.next() % 4 * 4).collect();
-                push(&|l| few[l as usize]);
-            }
-        }
-        sets
-    }
-
-    /// [`coalesce_segments`] by collecting every segment and sorting: the
-    /// reference the ascending pass is tested against.
-    fn coalesce_segments_sorted(lanes: &[(u32, u64)], size: u32, seg: Divisor) -> Vec<u64> {
-        let mut out = Vec::new();
-        for &(_, a) in lanes {
-            out.extend(seg.div(a)..=seg.div(a + size as u64 - 1));
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    #[test]
-    fn fast_coalescing_matches_the_sorted_count() {
-        for seg in [32u64, 64, 128, 96] {
-            let seg = Divisor::new(seg);
-            for (size, lanes) in lane_address_sets() {
-                let mut fast = Vec::new();
-                coalesce_segments(&lanes, size, seg, &mut fast);
-                assert_eq!(
-                    fast,
-                    coalesce_segments_sorted(&lanes, size, seg),
-                    "seg {} size {size} lanes {lanes:?}",
-                    seg.get()
-                );
-            }
-        }
-    }
-
     /// An overlay over `base` that, with `seeded`, already holds a copy of
     /// the page of every fifth lane of `lanes`.
     fn overlay_for(base: &GlobalMemory, lanes: &[(u32, u64)], seeded: bool) -> WriteOverlay {
@@ -1079,22 +833,7 @@ mod tests {
                             .map(|l| (l + 1).wrapping_mul(0x0123_4567_89ab_cdef))
                             .collect();
                         let mut out = [0u64; 64];
-
-                        // Coherent: straight to memory.
-                        base.read_lanes(&lanes, size, 0, &mut out);
-                        for &(tid, a) in &lanes {
-                            assert_eq!(out[tid as usize], base.read(a, size).unwrap());
-                        }
-                        let (mut warp, mut lane) = (low.clone(), low.clone());
-                        warp.write_lanes(&lanes, size, 0, &vals);
-                        for &(tid, a) in &lanes {
-                            lane.write(a, size, vals[tid as usize]).unwrap();
-                        }
-                        assert_eq!(warp.data, lane.data, "coherent size {size}");
-                        assert_eq!(warp.stray_pages, lane.stray_pages);
-                        with_strays += !warp.stray_pages.is_empty() as usize;
-
-                        // Snapshot: through an empty or a seeded overlay.
+                        // Through an empty or a seeded overlay.
                         for seeded in [false, true] {
                             let o = overlay_for(&base, &lanes, seeded);
                             o.read_lanes(&base, &lanes, size, 0, &mut out);
@@ -1109,8 +848,9 @@ mod tests {
                             }
                             let (mut warp, mut lane) = (low.clone(), low.clone());
                             assert_eq!(warp_o.commit(&mut warp), lane_o.commit(&mut lane));
-                            assert_eq!(warp.data, lane.data, "snapshot size {size}");
+                            assert_eq!(warp.data, lane.data, "size {size}");
                             assert_eq!(warp.stray_pages, lane.stray_pages);
+                            with_strays += !warp.stray_pages.is_empty() as usize;
                         }
                     }
                 }
@@ -1126,8 +866,8 @@ mod tests {
         use crate::{launch_with, DeviceSpec, ExecOptions, ExecTier, LaunchConfig};
         use gpucmp_ptx::{Address, AtomOp, KernelBuilder, Op2, Operand, Special, Ty};
         // `p[tid + 1024] = tid + 1`, and with `atomic` also `p[tid + 2048]
-        // += 1` by a global atomic, which runs the launch on the coherent
-        // path instead of through per-block overlays.
+        // += 1` by a global atomic, which runs the launch's blocks serially
+        // through one overlay instead of one overlay per block.
         let kernel = |atomic: bool| {
             let mut b = KernelBuilder::new("poke");
             b.param("p", Ty::U64);
@@ -1181,8 +921,8 @@ mod tests {
         let cap = 1u64 << 20;
         let mut m = GlobalMemory::new(cap);
         let p = m.alloc(100).unwrap();
-        m.write(p.0, 4, 7).unwrap();
-        m.write(cap - 8, 8, u64::MAX).unwrap();
+        m.copy_in(p, &[7, 0, 0, 0]).unwrap();
+        m.copy_in(DevPtr(cap - 8), &[0xff; 8]).unwrap();
         assert_eq!(m.stray_pages.len(), 1);
         // Bytes outside `[0, bump)` and the stray page, set behind the
         // API's back: `reset` must leave them as they are.
@@ -1198,36 +938,6 @@ mod tests {
                 0
             };
             assert_eq!(b, expect, "byte {at}");
-        }
-    }
-
-    #[test]
-    fn chained_bank_degree_matches_the_sorted_degree() {
-        let mut words = [0u64; 64];
-        let mut pairs = Vec::new();
-        let mut seen_degrees = std::collections::BTreeSet::new();
-        for banks in [1u64, 16, 32, 64, 24, 128] {
-            let banks = Divisor::new(banks);
-            for (_, lanes) in lane_address_sets() {
-                let fast = bank_conflict_degree(&lanes, banks, &mut words, &mut pairs);
-                let sorted = bank_conflict_degree_sorted(&lanes, banks, &mut pairs);
-                assert_eq!(fast, sorted, "banks {} lanes {lanes:?}", banks.get());
-                seen_degrees.insert(fast);
-            }
-        }
-        // Conflict-free and conflicting groups, and the sorting fallback
-        // (128 banks), all ran.
-        assert!(seen_degrees.contains(&1) && seen_degrees.len() > 3);
-    }
-
-    #[test]
-    fn divisor_matches_hardware_division() {
-        for d in [1u64, 2, 4, 32, 64, 128, 3, 6, 96] {
-            let div = Divisor::new(d);
-            for x in [0u64, 1, 31, 32, 33, 127, 128, 1 << 40, u64::MAX] {
-                assert_eq!(div.div(x), x / d);
-                assert_eq!(div.rem(x), x % d);
-            }
         }
     }
 

@@ -118,6 +118,44 @@ impl ExecStats {
         }
     }
 
+    /// Check the conservation laws the cost model keeps by construction
+    /// on a device `warp_width` lanes wide, and name the first one these
+    /// counters break.
+    pub fn check_conservation(&self, warp_width: u32) -> Result<(), String> {
+        let partitions: u64 = self.partition_bytes.iter().sum();
+        let laws = [
+            (
+                partitions == self.dram_bytes(),
+                "sum of partition_bytes == dram_read_bytes + dram_write_bytes",
+            ),
+            (
+                self.l1_hits + self.l1_misses <= self.gmem_transactions,
+                "l1_hits + l1_misses <= gmem_transactions",
+            ),
+            (
+                self.l1_hits + self.l2_hits + self.l2_misses
+                    <= self.gmem_transactions + self.tex_misses,
+                "l1_hits + l2_hits + l2_misses <= gmem_transactions + tex_misses",
+            ),
+            (
+                self.const_misses <= self.const_line_accesses,
+                "const_misses <= const_line_accesses",
+            ),
+            (
+                self.shared_accesses + self.shared_conflict_cycles <= self.shared_cycles,
+                "shared_accesses + shared_conflict_cycles <= shared_cycles",
+            ),
+            (
+                self.lane_instructions <= self.warp_instructions.saturating_mul(warp_width as u64),
+                "lane_instructions <= warp_instructions x warp width",
+            ),
+        ];
+        match laws.iter().find(|(holds, _)| !holds) {
+            Some((_, law)) => Err(format!("counter law broken: {law} in {self:?}")),
+            None => Ok(()),
+        }
+    }
+
     /// Traffic of the hottest DRAM partition.
     pub fn max_partition_bytes(&self) -> u64 {
         self.partition_bytes.iter().copied().max().unwrap_or(0)
@@ -300,6 +338,37 @@ mod tests {
         assert_eq!(a.blocks, 3);
         assert_eq!(a.flops, 15);
         assert_eq!(a.dram_bytes(), 150);
+    }
+
+    #[test]
+    fn conservation_names_the_broken_law() {
+        let mut partition_bytes = [0; MAX_DRAM_PARTITIONS];
+        partition_bytes[1] = 96;
+        let s = ExecStats {
+            dram_read_bytes: 64,
+            dram_write_bytes: 32,
+            partition_bytes,
+            gmem_transactions: 3,
+            l1_hits: 1,
+            l1_misses: 2,
+            l2_misses: 2,
+            ..Default::default()
+        };
+        assert_eq!(s.check_conservation(32), Ok(()));
+        let broken = ExecStats {
+            l1_hits: 2,
+            ..s.clone()
+        };
+        let law = broken.check_conservation(32).unwrap_err();
+        assert!(
+            law.contains("l1_hits + l1_misses <= gmem_transactions"),
+            "{law}"
+        );
+        let broken = ExecStats {
+            dram_write_bytes: 0,
+            ..s
+        };
+        assert!(broken.check_conservation(32).is_err());
     }
 
     #[test]

@@ -337,26 +337,6 @@ impl TimelineState {
     }
 }
 
-/// Convenience wrapper returning only nanoseconds.
-pub fn kernel_time_ns(
-    device: &DeviceSpec,
-    stats: &ExecStats,
-    threads_per_block: u32,
-    blocks: u64,
-    regs_per_thread: u32,
-    smem_per_block: u32,
-) -> f64 {
-    kernel_time(
-        device,
-        stats,
-        threads_per_block,
-        blocks,
-        regs_per_thread,
-        smem_per_block,
-    )
-    .total_ns
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
