@@ -10,9 +10,11 @@
 //! - [`frontend`] — the CUDA (`nvopencc`-style) and OpenCL front-end presets
 //!   and the full `compile` pipeline (the per-knob rationale, with pointers
 //!   to the paper's Table V evidence, is documented there);
-//! - [`regalloc`] — liveness, register pressure and spilling;
 //! - [`ptxas`] — the backend: propagation, fusion, DCE, device-cap
-//!   spilling, physical register accounting.
+//!   spilling, physical register accounting;
+//! - `regalloc` (crate-private) — the one register analysis (control-flow
+//!   graph, liveness, pressure) and spilling, shared by the front-ends'
+//!   budget check and `ptxas`.
 //!
 //! The same kernel definition compiled through the two front-ends produces
 //! functionally identical but statically different code — the code-quality
@@ -25,7 +27,7 @@ pub mod fold;
 pub mod frontend;
 pub mod lower;
 pub mod ptxas;
-pub mod regalloc;
+mod regalloc;
 pub mod unroll;
 
 pub use ast::{

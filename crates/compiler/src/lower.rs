@@ -63,7 +63,6 @@ pub fn lower(def: &KernelDef, style: &CodegenStyle) -> Kernel {
         b: KernelBuilder::new(def.name.clone()),
         style: style.clone(),
         def,
-        _var_tys: var_tys,
         var_regs: HashMap::new(),
         param_regs: HashMap::new(),
         special_regs: HashMap::new(),
@@ -86,8 +85,6 @@ struct Lowerer<'a> {
     b: KernelBuilder,
     style: CodegenStyle,
     def: &'a KernelDef,
-    /// retained for future passes that allocate DSL-level temporaries
-    _var_tys: Vec<Ty>,
     var_regs: HashMap<u32, Reg>,
     param_regs: HashMap<u32, Reg>,
     special_regs: HashMap<Builtin, Reg>,

@@ -39,16 +39,15 @@ pub fn run(kernel: &mut Kernel, max_regs_per_thread: u32) -> PtxasReport {
             break;
         }
     }
-    let spilled = regalloc::spill_to_local(kernel, max_regs_per_thread);
+    let (spilled, mut slots) = regalloc::spill_to_local(kernel, max_regs_per_thread);
     if spilled > 0 {
-        // spilling introduces copies; clean again
+        // spilling introduces copies; clean again and measure the result
+        // (without a spill, the kernel is the one spilling measured)
         removed += propagate(kernel);
         removed += dce(kernel);
+        slots = regalloc::Analysis::of(kernel).max_live_slots;
     }
-    let cfg = regalloc::build_cfg(kernel);
-    let lv = regalloc::liveness(kernel, &cfg);
-    let p = regalloc::pressure(kernel, &cfg, &lv);
-    kernel.phys_regs = p.max_live_slots.clamp(2, max_regs_per_thread);
+    kernel.phys_regs = slots.clamp(2, max_regs_per_thread);
     PtxasReport {
         removed,
         fused,
@@ -329,6 +328,54 @@ mod tests {
             .body
             .iter()
             .any(|i| matches!(i, Inst::Bin { op: Op2::Add, .. })));
+    }
+
+    /// A fresh analysis of `k` by the reference implementation.
+    fn fresh_pressure(k: &Kernel, cap: u32) -> u32 {
+        crate::regalloc::reference::pressure(k).0.clamp(2, cap)
+    }
+
+    #[test]
+    fn unspilled_phys_regs_equal_a_fresh_analysis() {
+        // 40 materialised immediates summed: 40 live values before
+        // propagation, a handful after it.
+        let mut b = KernelBuilder::new("t");
+        let regs: Vec<_> = (0..40).map(|i| b.mov(Ty::S32, i)).collect();
+        let mut acc = b.ld(Space::Global, Ty::S32, Address::absolute(0));
+        for r in &regs {
+            acc = b.bin(Op2::Add, Ty::S32, acc, *r);
+        }
+        b.st(Space::Global, Ty::S32, Address::absolute(0), acc);
+        let mut k = b.finish();
+        assert!(fresh_pressure(&k, 63) >= 40);
+        let report = run(&mut k, 63);
+        assert_eq!(report.spilled, 0);
+        assert_eq!(k.phys_regs, fresh_pressure(&k, 63));
+        assert!(k.phys_regs < 8, "{}", k.phys_regs);
+    }
+
+    #[test]
+    fn a_spill_is_measured_again_after_the_cleanup() {
+        // `v` is defined twice, so the copy `d = v` survives propagation.
+        // `v` lives longest and is spilled first; the copy then reads a
+        // singly-defined reload, and the cleanup after spilling removes it.
+        let mut b = KernelBuilder::new("t");
+        let v = b.ld(Space::Global, Ty::F32, Address::absolute(0));
+        b.bin_to(Op2::Add, Ty::F32, v, v, 1.0f32);
+        let xs: Vec<_> = (1..40)
+            .map(|i| b.ld(Space::Global, Ty::F32, Address::absolute(i * 4)))
+            .collect();
+        let d = b.mov(Ty::F32, v);
+        let mut acc = b.bin(Op2::Add, Ty::F32, d, v);
+        for x in &xs {
+            acc = b.bin(Op2::Add, Ty::F32, acc, *x);
+        }
+        b.st(Space::Global, Ty::F32, Address::absolute(0), acc);
+        let mut k = b.finish();
+        let report = run(&mut k, 16);
+        assert!(report.spilled > 0);
+        assert!(!k.body.iter().any(|i| matches!(i, Inst::Mov { .. })));
+        assert_eq!(k.phys_regs, fresh_pressure(&k, 16));
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::inst::Inst;
 use crate::ty::Ty;
-use std::collections::HashMap;
 
 /// A branch-target label. Labels are kernel-local.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -65,36 +64,70 @@ impl Kernel {
     /// Returns an error message if a branch or `ssy` targets an undefined
     /// label, or a label is defined twice.
     pub fn resolve(&self) -> Result<ResolvedKernel, String> {
-        let mut label_pc: HashMap<LabelId, usize> = HashMap::new();
-        for (pc, inst) in self.body.iter().enumerate() {
-            if let Inst::Label(l) = inst {
-                if label_pc.insert(*l, pc).is_some() {
-                    return Err(format!(
-                        "kernel {}: label L{} defined twice",
-                        self.name, l.0
-                    ));
-                }
-            }
-        }
-        let lookup = |l: LabelId| -> Result<usize, String> {
-            label_pc
-                .get(&l)
-                .copied()
-                .ok_or_else(|| format!("kernel {}: undefined label L{}", self.name, l.0))
-        };
-        let mut targets = vec![usize::MAX; self.body.len()];
-        for (pc, inst) in self.body.iter().enumerate() {
-            match inst {
-                Inst::Bra { target, .. } | Inst::Ssy { target } => {
-                    targets[pc] = lookup(*target)?;
-                }
-                _ => {}
-            }
-        }
+        let targets = self.branch_targets()?;
         Ok(ResolvedKernel {
             kernel: self.clone(),
             targets,
         })
+    }
+
+    /// [`Kernel::resolve`] without the copy: the kernel moves into the
+    /// executable form.
+    pub fn into_resolved(self) -> Result<ResolvedKernel, String> {
+        let targets = self.branch_targets()?;
+        Ok(ResolvedKernel {
+            kernel: self,
+            targets,
+        })
+    }
+
+    /// For each pc holding a `Bra`/`Ssy`, the pc of its target label;
+    /// `usize::MAX` elsewhere.
+    fn branch_targets(&self) -> Result<Vec<usize>, String> {
+        let mut targets = vec![usize::MAX; self.body.len()];
+        self.for_each_branch_target(|pc, target| targets[pc] = target)?;
+        Ok(targets)
+    }
+
+    /// Call `f(pc, target)` for every `Bra`/`Ssy`, in program order, with
+    /// the pc of the label it names. The one label-resolution routine:
+    /// resolution, validation and the register analysis all use it.
+    ///
+    /// Fails, before calling `f`, if a label is defined twice (naming the
+    /// label whose second definition comes first); then fails at the first
+    /// branch or `ssy` that names an undefined label.
+    pub fn for_each_branch_target(&self, mut f: impl FnMut(usize, usize)) -> Result<(), String> {
+        // (label, pc) sorted by label, then pc: a twice-defined label sits
+        // next to its first definition.
+        let mut labels: Vec<(LabelId, usize)> = self
+            .body
+            .iter()
+            .enumerate()
+            .filter_map(|(pc, inst)| match inst {
+                Inst::Label(l) => Some((*l, pc)),
+                _ => None,
+            })
+            .collect();
+        labels.sort_unstable();
+        if let Some(w) = labels
+            .windows(2)
+            .filter(|w| w[0].0 == w[1].0)
+            .min_by_key(|w| w[1].1)
+        {
+            return Err(format!(
+                "kernel {}: label L{} defined twice",
+                self.name, w[0].0 .0
+            ));
+        }
+        for (pc, inst) in self.body.iter().enumerate() {
+            if let Inst::Bra { target, .. } | Inst::Ssy { target } = inst {
+                let i = labels
+                    .binary_search_by_key(target, |&(l, _)| l)
+                    .map_err(|_| format!("kernel {}: undefined label L{}", self.name, target.0))?;
+                f(pc, labels[i].1);
+            }
+        }
+        Ok(())
     }
 
     /// Count of real (non-label) instructions.
@@ -271,6 +304,20 @@ mod tests {
         let mut k = Kernel::new("t");
         k.body = vec![Inst::Label(LabelId(1)), Inst::Label(LabelId(1)), Inst::Ret];
         assert!(k.resolve().is_err());
+    }
+
+    #[test]
+    fn resolve_names_the_first_label_defined_again() {
+        // L1's second definition (pc 2) comes before L0's (pc 3).
+        let mut k = Kernel::new("t");
+        k.body = vec![
+            Inst::Label(LabelId(1)),
+            Inst::Label(LabelId(0)),
+            Inst::Label(LabelId(1)),
+            Inst::Label(LabelId(0)),
+            Inst::Ret,
+        ];
+        assert_eq!(k.resolve().unwrap_err(), "kernel t: label L1 defined twice");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! Synchronization). [`InstStats::of_kernel`] computes the same static
 //! counts for any [`Kernel`].
 
-use crate::inst::{Inst, Op1, Op3};
+use crate::inst::{Inst, Op1};
 use crate::kernel::Kernel;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -72,27 +72,51 @@ pub fn classify(inst: &Inst) -> Option<(InstClass, String)> {
                 (InstClass::Arithmetic, op.mnemonic().to_string())
             }
         }
-        Inst::Tern { op, .. } => (
-            InstClass::Arithmetic,
-            match op {
-                Op3::Mad => "mad".to_string(),
-                Op3::Fma => "fma".to_string(),
-            },
-        ),
+        Inst::Tern { op, .. } => (InstClass::Arithmetic, op.mnemonic().to_string()),
         Inst::Setp { .. } => (InstClass::FlowControl, "setp".to_string()),
         Inst::Selp { .. } => (InstClass::FlowControl, "selp".to_string()),
         Inst::Bra { .. } => (InstClass::FlowControl, "bra".to_string()),
-        Inst::Ld { space, .. } => (InstClass::DataMovement, format!("ld.{}", space.suffix())),
-        Inst::St { space, .. } => (InstClass::DataMovement, format!("st.{}", space.suffix())),
+        Inst::Ld { space, .. } => (InstClass::DataMovement, ["ld.", space.suffix()].concat()),
+        Inst::St { space, .. } => (InstClass::DataMovement, ["st.", space.suffix()].concat()),
         Inst::Tex { .. } => (InstClass::DataMovement, "tex".to_string()),
         Inst::Atom { space, op, .. } => (
             InstClass::Other,
-            format!("atom.{}.{}", space.suffix(), op.mnemonic()),
+            ["atom.", space.suffix(), ".", op.mnemonic()].concat(),
         ),
         Inst::Bar => (InstClass::Synchronization, "bar".to_string()),
         Inst::Ret => (InstClass::Other, "ret".to_string()),
     };
     Some(r)
+}
+
+/// Bound of [`slot`]: 32 slots for each of 18 instruction kinds (atomics
+/// are a kind per state space).
+const SLOTS: usize = 18 * 32;
+
+/// The Table-V row of an instruction as an index below [`SLOTS`]: its
+/// kind's block of 32, then its op's or space's position in that enum.
+/// Instructions share a slot exactly when [`classify`] gives them the same
+/// row; `None` for pseudo-instructions.
+fn slot(inst: &Inst) -> Option<usize> {
+    let (kind, sub) = match *inst {
+        Inst::Label(_) | Inst::Ssy { .. } | Inst::SyncPoint => return None,
+        Inst::Mov { .. } => (0, 0),
+        Inst::Cvt { .. } => (1, 0),
+        Inst::Un { op, .. } => (2, op as usize),
+        Inst::Bin { op, .. } => (3, op as usize),
+        Inst::Tern { op, .. } => (4, op as usize),
+        Inst::Setp { .. } => (5, 0),
+        Inst::Selp { .. } => (6, 0),
+        Inst::Bra { .. } => (7, 0),
+        Inst::Ld { space, .. } => (8, space as usize),
+        Inst::St { space, .. } => (9, space as usize),
+        Inst::Tex { .. } => (10, 0),
+        Inst::Atom { space, op, .. } => (11 + space as usize, op as usize),
+        Inst::Bar => (16, 0),
+        Inst::Ret => (17, 0),
+    };
+    debug_assert!(sub < 32, "an op enum outgrew its 32 slots");
+    Some(kind * 32 + sub)
 }
 
 /// Static per-opcode instruction counts for one kernel.
@@ -105,10 +129,21 @@ pub struct InstStats {
 impl InstStats {
     /// Compute the static counts of `kernel`.
     pub fn of_kernel(kernel: &Kernel) -> Self {
-        let mut rows = BTreeMap::new();
+        // Count by slot; name each row once, from its first instruction.
+        let mut counts = [0u32; SLOTS];
+        let mut firsts: Vec<(usize, &Inst)> = Vec::new();
         for inst in &kernel.body {
-            if let Some(key) = classify(inst) {
-                *rows.entry(key).or_insert(0) += 1;
+            if let Some(i) = slot(inst) {
+                if counts[i] == 0 {
+                    firsts.push((i, inst));
+                }
+                counts[i] += 1;
+            }
+        }
+        let mut rows = BTreeMap::new();
+        for (i, inst) in firsts {
+            if let Some(row) = classify(inst) {
+                rows.insert(row, counts[i] as u64);
             }
         }
         InstStats { rows }
@@ -263,6 +298,125 @@ mod tests {
         // only the implicit ret is counted
         assert_eq!(stats.total(), 1);
         assert_eq!(stats.class_total(InstClass::Other), 1);
+    }
+
+    #[test]
+    fn every_row_has_its_own_slot() {
+        use crate::inst::{AtomOp, Op1, Op3};
+        use crate::reg::Reg;
+        // One instruction of every row.
+        let (ty, d, a) = (Ty::S32, Reg(0), Operand::ImmI(0));
+        let addr = Address::absolute(0);
+        let mut insts = vec![
+            Inst::Mov { ty, d, a },
+            Inst::Cvt {
+                dty: ty,
+                sty: ty,
+                d,
+                a,
+            },
+            Inst::Setp {
+                cmp: CmpOp::Lt,
+                ty,
+                d,
+                a,
+                b: a,
+            },
+            Inst::Selp {
+                ty,
+                d,
+                a,
+                b: a,
+                p: d,
+            },
+            Inst::Bra {
+                target: crate::kernel::LabelId(0),
+                pred: None,
+            },
+            Inst::Tex {
+                ty,
+                d,
+                tex: crate::inst::TexRef(0),
+                idx: a,
+            },
+            Inst::Bar,
+            Inst::Ret,
+        ];
+        insts.extend([Op3::Mad, Op3::Fma].map(|op| Inst::Tern {
+            op,
+            ty,
+            d,
+            a,
+            b: a,
+            c: a,
+        }));
+        insts.extend(
+            [
+                Op1::Neg,
+                Op1::Abs,
+                Op1::Not,
+                Op1::Sqrt,
+                Op1::Rsqrt,
+                Op1::Rcp,
+                Op1::Sin,
+                Op1::Cos,
+                Op1::Ex2,
+                Op1::Lg2,
+            ]
+            .map(|op| Inst::Un { op, ty, d, a }),
+        );
+        insts.extend(
+            [
+                Op2::Add,
+                Op2::Sub,
+                Op2::Mul,
+                Op2::Div,
+                Op2::Rem,
+                Op2::Min,
+                Op2::Max,
+                Op2::And,
+                Op2::Or,
+                Op2::Xor,
+                Op2::Shl,
+                Op2::Shr,
+            ]
+            .map(|op| Inst::Bin { op, ty, d, a, b: a }),
+        );
+        for space in [
+            Space::Global,
+            Space::Shared,
+            Space::Local,
+            Space::Const,
+            Space::Param,
+        ] {
+            insts.push(Inst::Ld { space, ty, d, addr });
+            insts.push(Inst::St { space, ty, addr, a });
+            insts.extend(
+                [
+                    AtomOp::Add,
+                    AtomOp::Min,
+                    AtomOp::Max,
+                    AtomOp::Exch,
+                    AtomOp::Cas,
+                ]
+                .map(|op| Inst::Atom {
+                    space,
+                    op,
+                    ty,
+                    d,
+                    addr,
+                    b: a,
+                    c: a,
+                }),
+            );
+        }
+        let slots: std::collections::BTreeSet<usize> =
+            insts.iter().map(|i| slot(i).unwrap()).collect();
+        let rows: std::collections::BTreeSet<_> =
+            insts.iter().map(|i| classify(i).unwrap()).collect();
+        assert_eq!(slots.len(), insts.len());
+        assert_eq!(rows.len(), insts.len());
+        assert!(slots.iter().all(|&i| i < SLOTS));
     }
 
     #[test]

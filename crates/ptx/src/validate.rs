@@ -42,7 +42,9 @@ pub fn validate_kernel(kernel: &Kernel) -> Result<(), ValidateError> {
     };
 
     // Labels resolve and are unique.
-    kernel.resolve().map_err(|message| err(None, message))?;
+    kernel
+        .for_each_branch_target(|_, _| {})
+        .map_err(|message| err(None, message))?;
 
     if kernel.body.is_empty() {
         return Err(err(None, "empty body".into()));

@@ -922,7 +922,7 @@ pub trait Gpu {
         let cap = self.device().max_regs_per_thread;
         let compiled =
             compile_with_style(def, &style, cap).map_err(|e| RtError::Compile(e.to_string()))?;
-        let resolved = compiled.exec.resolve().map_err(RtError::Compile)?;
+        let resolved = compiled.exec.into_resolved().map_err(RtError::Compile)?;
         let mut const_bank = def.const_data.clone();
         // pad to 16 bytes like a real constant bank image
         const_bank.resize(const_bank.len().next_multiple_of(16), 0);

@@ -319,17 +319,27 @@ pub(crate) fn run_launch_with_code(
         let workers = opts.resolved_threads().clamp(1, blocks as usize);
         profile.host_threads = workers;
         // Blocks are assigned round-robin (block i -> worker i % workers);
-        // each worker reuses one interpreter, resets the per-block
-        // instruction budget, and stops its span at the first error.
+        // each worker reuses one interpreter and runs every block with the
+        // whole launch budget. It stops its span at the first error, or
+        // once its own blocks have run more than the budget: the launch
+        // has then overrun by that block, so the walk below stops there.
         let run_span = |worker: usize| -> Vec<(u64, Result<BlockOutcome, DeviceFault>)> {
             let mut out = Vec::new();
             let mut exec =
                 BlockExec::new(device, kernel, cfg, const_bank, opts.memcheck, code, base);
+            let mut spent = 0u64;
             let mut b = worker as u64;
             while b < blocks {
                 exec.budget = cfg.inst_budget;
                 match exec.run_linear_block(b) {
-                    Ok(()) => out.push((b, Ok(exec.take_outcome()))),
+                    Ok(()) => {
+                        let outcome = exec.take_outcome();
+                        spent = spent.saturating_add(outcome.stats.warp_instructions);
+                        out.push((b, Ok(outcome)));
+                        if spent > cfg.inst_budget {
+                            break;
+                        }
+                    }
                     Err(e) => {
                         out.push((b, Err(e)));
                         break;
@@ -356,8 +366,35 @@ pub(crate) fn run_launch_with_code(
         for (b, r) in spans.into_iter().flatten() {
             slots[b as usize] = Some(r);
         }
-        // An empty slot lies past a worker's fault, where the merge stops.
-        runs.extend(slots.into_iter().flatten());
+        // The instruction budget spans the launch: charge each block's warp
+        // instructions in block order. The first block that runs more than
+        // what is left, or faults with less than the whole budget left (it
+        // may have overrun first), runs again alone with what is left; its
+        // fault, site included, stops the launch. An empty slot lies past
+        // where the walk stops.
+        let mut left = cfg.inst_budget;
+        for (b, mut run) in (0u64..).zip(slots).filter_map(|(b, r)| Some((b, r?))) {
+            let fits = match &run {
+                Ok(outcome) => outcome.stats.warp_instructions <= left,
+                Err(_) => left == cfg.inst_budget,
+            };
+            if !fits {
+                let mut exec =
+                    BlockExec::new(device, kernel, cfg, const_bank, opts.memcheck, code, base);
+                exec.budget = left;
+                run = Err(exec
+                    .run_linear_block(b)
+                    .expect_err("a block that overran or faulted faults under a smaller budget"));
+            }
+            if let Ok(outcome) = &run {
+                left -= outcome.stats.warp_instructions;
+            }
+            let stop = run.is_err();
+            runs.push(run);
+            if stop {
+                break;
+            }
+        }
     }
     profile.host_exec_ns = t_exec.elapsed().as_nanos() as u64;
 
@@ -408,8 +445,9 @@ pub(crate) struct BlockExec<'a> {
     /// Statistics since the last [`BlockExec::take_outcome`]: one block's,
     /// or a whole launch's under global atomics.
     pub(crate) stats: ExecStats,
-    /// Remaining warp-instruction budget (per block, or per launch under
-    /// global atomics).
+    /// Remaining warp-instruction budget: of the launch under global
+    /// atomics; otherwise the whole launch budget at each block's start,
+    /// charged to the launch when the blocks merge.
     pub(crate) budget: u64,
     /// Pre-decoded dispatch IR (`None` on the interp reference tier).
     code: Option<&'a DecodedKernel>,

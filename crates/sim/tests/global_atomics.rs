@@ -1,10 +1,11 @@
 //! What a launch with global atomics keeps from running its blocks
 //! serially, in ascending order, instead of against per-block snapshots:
 //! each block reads the earlier blocks' writes, a fault leaves every write
-//! made before it in memory, and the instruction budget and the memcheck
-//! record cap span the launch. The same kernels without the atomic show the
-//! per-block behaviour. Every case runs on both tiers at 1 and 8 host
-//! threads.
+//! made before it in memory, and the memcheck record cap spans the launch.
+//! The same kernels without the atomic show the per-block behaviour. The
+//! instruction budget spans the launch on both paths, and its watchdog
+//! fires at the same site on both. Every case runs on both tiers at 1 and
+//! 8 host threads.
 
 use gpucmp_ptx::{
     Address, AtomOp, CmpOp, KernelBuilder, Op2, Operand, Reg, ResolvedKernel, Space, Special, Ty,
@@ -149,11 +150,95 @@ fn the_instruction_budget_spans_the_launch() {
         let (r, _) = run(&kernel(true), cfg(u64::MAX), &opts);
         let n = r.unwrap().stats.warp_instructions / blocks as u64;
         let budget = 2 * n;
-        let (r, _) = run(&kernel(true), cfg(budget), &opts);
-        let fault = r.unwrap_err().fault().cloned().expect("device fault");
-        assert_eq!(fault.kind, FaultKind::Watchdog { budget }, "{opts:?}");
-        // Without the atomic the budget is per block: the launch completes.
-        run(&kernel(false), cfg(budget), &opts).0.unwrap();
+        for atomic in [true, false] {
+            let (r, _) = run(&kernel(atomic), cfg(budget), &opts);
+            let fault = r.unwrap_err().fault().cloned().expect("device fault");
+            assert_eq!(
+                fault.kind,
+                FaultKind::Watchdog { budget },
+                "atomic {atomic} {opts:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn the_watchdog_fires_at_the_same_site_on_both_paths() {
+    // Two-warp blocks of straight-line code, and an atomic behind a branch
+    // every thread takes: global, it sends the launch down the serial
+    // path; shared, down the parallel one. Both run the same instructions.
+    // With `oob`, blocks 2 and 3 end with a store past the end of memory.
+    let kernel = |space, oob: bool| {
+        let mut b = KernelBuilder::new("skipped_atomic");
+        b.param("p", Ty::U64);
+        let p = b.ld_param(0, Ty::U64);
+        let tid = b.special(Special::TidX);
+        let x = b.bin(Op2::Mul, Ty::U32, tid, 3i32);
+        let y = b.bin(Op2::Add, Ty::U32, x, 5i32);
+        let z = b.bin(Op2::Xor, Ty::U32, y, x);
+        if oob {
+            let ctaid = b.special(Special::CtaidX);
+            let c64 = b.cvt(Ty::U64, Ty::U32, ctaid);
+            let half = b.bin(Op2::Shr, Ty::U64, c64, 1i32);
+            let far = b.bin(Op2::Shl, Ty::U64, half, 20i32);
+            let a = b.bin(Op2::Add, Ty::U64, p, far);
+            b.st(Space::Global, Ty::U32, at(a, 0), z);
+        }
+        let never = b.setp(CmpOp::Lt, Ty::U32, tid, 0i32);
+        let end = b.new_label();
+        b.ssy(end);
+        b.bra_if(end, never, false);
+        b.atom(space, AtomOp::Add, Ty::U32, at(p, 128), 1i32);
+        b.place_label(end);
+        b.sync();
+        b.finish().resolve().unwrap()
+    };
+    let cfg = |blocks: u32, budget| {
+        move |p| {
+            LaunchConfig::new(blocks, 64u32)
+                .arg_ptr(p)
+                .with_inst_budget(budget)
+        }
+    };
+    for oob in [false, true] {
+        // n warp instructions per block, from blocks 0 and 1 (in bounds).
+        let (r, _) = run(
+            &kernel(Space::Global, oob),
+            cfg(2, u64::MAX),
+            &ExecOptions::serial(),
+        );
+        let n = r.unwrap().stats.warp_instructions / 2;
+        // Blocks 0 and 1 fit. Block 2 runs out three instructions into its
+        // second warp (warps run to completion in turn: no barrier), or,
+        // with `oob`, into its first warp, before the store it faults at
+        // when given the whole budget.
+        let (budget, thread) = if oob {
+            (2 * n + 3, [0, 0, 0])
+        } else {
+            (2 * n + n / 2 + 3, [32, 0, 0])
+        };
+        let mut sites = Vec::new();
+        for space in [Space::Global, Space::Shared] {
+            for opts in settings() {
+                let (r, _) = run(&kernel(space, oob), cfg(4, budget), &opts);
+                let fault = r.unwrap_err().fault().cloned().expect("device fault");
+                assert_eq!(
+                    fault.kind,
+                    FaultKind::Watchdog { budget },
+                    "oob {oob} {opts:?}"
+                );
+                sites.push((fault.site.expect("watchdog site"), space, opts));
+            }
+        }
+        let (first, ..) = sites[0];
+        assert_eq!(
+            (first.block, first.thread),
+            ([2, 0, 0], thread),
+            "oob {oob}"
+        );
+        for (site, space, opts) in &sites {
+            assert_eq!(*site, first, "oob {oob} {space:?} {opts:?}");
+        }
     }
 }
 
