@@ -36,6 +36,13 @@ pub const CAMPAIGN_DEVICES: [&str; 2] = ["GTX280", "GTX480"];
 /// change can move any cell's output so stale rows stop cache-matching.
 pub const CAMPAIGN_MODEL_REV: u32 = 1;
 
+/// FNV-1a 64 of the quick campaign's report text at this
+/// [`CAMPAIGN_MODEL_REV`]. A test pins it, so a change that moves any
+/// simulated number, counter or attribution fails tier-1 until the revision
+/// is bumped and EXPERIMENTS.md says why.
+#[cfg(test)]
+const QUICK_REPORT_FNV: u64 = 0xdd23_18fd_ab14_f350;
+
 /// How the campaign runs: problem scale, optional seeded fault
 /// injection, the per-triple retry budget, an optional result cache, and
 /// an optional shard of the run matrix.
@@ -487,10 +494,21 @@ mod tests {
         );
         assert_eq!(bfs.dominant_counter, "launch_overhead_ns");
         // and the report survives serialisation
-        let parsed = BenchReport::from_text(&report.to_text()).unwrap();
+        let text = report.to_text();
+        let parsed = BenchReport::from_text(&text).unwrap();
         assert_eq!(parsed.runs.len(), report.runs.len());
         assert_eq!(parsed.scale, "quick");
         assert_eq!(parsed.fault_seed, None);
+        // byte for byte, the report of this model revision
+        let digest = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(
+            digest, QUICK_REPORT_FNV,
+            "the quick report now hashes to {digest:#018x}: a change that moves \
+             campaign output needs a CAMPAIGN_MODEL_REV bump and an EXPERIMENTS.md \
+             note before QUICK_REPORT_FNV takes the new digest"
+        );
     }
 
     #[test]
