@@ -25,9 +25,6 @@ pub enum FoldLevel {
 /// Fold an expression tree.
 pub fn fold_expr(e: &Expr, level: FoldLevel) -> Expr {
     match e {
-        Expr::ImmI(_) | Expr::ImmF(_) | Expr::Var(_) | Expr::Param(_) | Expr::Special(_) => {
-            e.clone()
-        }
         Expr::Un(op, a) => {
             let a = fold_expr(a, level);
             if level == FoldLevel::Aggressive {
@@ -170,22 +167,8 @@ pub fn fold_expr(e: &Expr, level: FoldLevel) -> Expr {
             }
             Expr::Cast(*ty, Box::new(a))
         }
-        Expr::Load {
-            space,
-            base,
-            index,
-            ty,
-        } => Expr::Load {
-            space: *space,
-            base: Box::new(fold_expr(base, level)),
-            index: Box::new(fold_expr(index, level)),
-            ty: *ty,
-        },
-        Expr::TexFetch { slot, index, ty } => Expr::TexFetch {
-            slot: *slot,
-            index: Box::new(fold_expr(index, level)),
-            ty: *ty,
-        },
+        // leaves, and nodes that fold only inside
+        _ => e.map_children(|c| fold_expr(c, level)),
     }
 }
 
@@ -195,71 +178,14 @@ pub fn fold_expr(e: &Expr, level: FoldLevel) -> Expr {
 pub fn fold_stmts(stmts: &[Stmt], level: FoldLevel) -> Vec<Stmt> {
     let mut out = Vec::with_capacity(stmts.len());
     for s in stmts {
+        let s = s.map(|e| fold_expr(e, level), |b| fold_stmts(b, level));
         match s {
-            Stmt::Let(v, e) => out.push(Stmt::Let(*v, fold_expr(e, level))),
-            Stmt::Assign(v, e) => out.push(Stmt::Assign(*v, fold_expr(e, level))),
-            Stmt::Store {
-                space,
-                base,
-                index,
-                ty,
-                value,
-            } => out.push(Stmt::Store {
-                space: *space,
-                base: fold_expr(base, level),
-                index: fold_expr(index, level),
-                ty: *ty,
-                value: fold_expr(value, level),
-            }),
-            Stmt::If { cond, then_, else_ } => {
-                let cond = fold_expr(cond, level);
-                let then_ = fold_stmts(then_, level);
-                let else_ = fold_stmts(else_, level);
-                if level == FoldLevel::Aggressive {
-                    if let Expr::ImmI(v) = cond {
-                        out.extend(if v != 0 { then_ } else { else_ });
-                        continue;
-                    }
-                }
-                out.push(Stmt::If { cond, then_, else_ });
-            }
-            Stmt::For {
-                var,
-                start,
-                end,
-                step,
-                unroll,
-                body,
-            } => out.push(Stmt::For {
-                var: *var,
-                start: fold_expr(start, level),
-                end: fold_expr(end, level),
-                step: *step,
-                unroll: *unroll,
-                body: fold_stmts(body, level),
-            }),
-            Stmt::While { cond, body } => out.push(Stmt::While {
-                cond: fold_expr(cond, level),
-                body: fold_stmts(body, level),
-            }),
-            Stmt::Barrier => out.push(Stmt::Barrier),
-            Stmt::AtomicRmw {
-                op,
-                space,
-                base,
-                index,
-                ty,
-                value,
-                old,
-            } => out.push(Stmt::AtomicRmw {
-                op: *op,
-                space: *space,
-                base: fold_expr(base, level),
-                index: fold_expr(index, level),
-                ty: *ty,
-                value: fold_expr(value, level),
-                old: *old,
-            }),
+            Stmt::If {
+                cond: Expr::ImmI(v),
+                then_,
+                else_,
+            } if level == FoldLevel::Aggressive => out.extend(if v != 0 { then_ } else { else_ }),
+            s => out.push(s),
         }
     }
     out

@@ -44,7 +44,7 @@
 //!   Hand-written corpus cases cover them with `device-exempt` set.
 
 use crate::rng::Rng;
-use gpucmp_compiler::ast::{Builtin, Expr, KernelDef, Stmt, Unroll, Var};
+use gpucmp_compiler::ast::{stmt_count, walk_stmts, Builtin, Expr, KernelDef, Stmt, Unroll, Var};
 use gpucmp_ptx::{AtomOp, CmpOp, Op1, Op2, Space, Ty};
 
 /// A device buffer backing one pointer parameter.
@@ -126,16 +126,7 @@ impl FuzzCase {
     /// Total statement count (nested bodies included) — the reducer's
     /// minimality metric.
     pub fn stmt_count(&self) -> usize {
-        fn count(body: &[Stmt]) -> usize {
-            body.iter()
-                .map(|s| match s {
-                    Stmt::If { then_, else_, .. } => 1 + count(then_) + count(else_),
-                    Stmt::For { body, .. } | Stmt::While { body, .. } => 1 + count(body),
-                    _ => 1,
-                })
-                .sum()
-        }
-        count(&self.def.body)
+        stmt_count(&self.def.body)
     }
 
     /// Whether the case participates in the device-comparison axis.
@@ -149,49 +140,32 @@ impl FuzzCase {
 
 /// Whether the kernel reads any warp-layout builtin.
 fn uses_warp_builtins(def: &KernelDef) -> bool {
-    fn expr(e: &Expr) -> bool {
-        match e {
-            Expr::Special(Builtin::LaneId | Builtin::WarpId | Builtin::WarpSize) => true,
-            Expr::ImmI(_) | Expr::ImmF(_) | Expr::Var(_) | Expr::Param(_) | Expr::Special(_) => {
-                false
-            }
-            Expr::Un(_, a) | Expr::Cast(_, a) => expr(a),
-            Expr::Bin(_, a, b) | Expr::Cmp(_, a, b) => expr(a) || expr(b),
-            Expr::Select(c, a, b) => expr(c) || expr(a) || expr(b),
-            Expr::Load { base, index, .. } => expr(base) || expr(index),
-            Expr::TexFetch { index, .. } => expr(index),
+    let mut found = false;
+    walk_stmts(&def.body, &mut |s| {
+        for e in s.exprs() {
+            found |= e.any(&mut |e| {
+                matches!(
+                    e,
+                    Expr::Special(Builtin::LaneId | Builtin::WarpId | Builtin::WarpSize)
+                )
+            });
         }
-    }
-    fn stmts(body: &[Stmt]) -> bool {
-        body.iter().any(|s| match s {
-            Stmt::Let(_, e) | Stmt::Assign(_, e) => expr(e),
-            Stmt::Store {
-                base, index, value, ..
-            } => expr(base) || expr(index) || expr(value),
-            Stmt::If { cond, then_, else_ } => expr(cond) || stmts(then_) || stmts(else_),
-            Stmt::For {
-                start, end, body, ..
-            } => expr(start) || expr(end) || stmts(body),
-            Stmt::While { cond, body } => expr(cond) || stmts(body),
-            Stmt::Barrier => false,
-            Stmt::AtomicRmw {
-                base, index, value, ..
-            } => expr(base) || expr(index) || expr(value),
-        })
-    }
-    stmts(&def.body)
+    });
+    found
 }
 
 /// Whether an expression contains no dynamic leaf (fully constant-foldable).
 fn is_const(e: &Expr) -> bool {
-    match e {
-        Expr::ImmI(_) | Expr::ImmF(_) => true,
-        Expr::Var(_) | Expr::Param(_) | Expr::Special(_) => false,
-        Expr::Un(_, a) | Expr::Cast(_, a) => is_const(a),
-        Expr::Bin(_, a, b) | Expr::Cmp(_, a, b) => is_const(a) && is_const(b),
-        Expr::Select(c, a, b) => is_const(c) && is_const(a) && is_const(b),
-        Expr::Load { .. } | Expr::TexFetch { .. } => false,
-    }
+    !e.any(&mut |e| {
+        matches!(
+            e,
+            Expr::Var(_)
+                | Expr::Param(_)
+                | Expr::Special(_)
+                | Expr::Load { .. }
+                | Expr::TexFetch { .. }
+        )
+    })
 }
 
 /// How generated code may touch one buffer. The roles make every case

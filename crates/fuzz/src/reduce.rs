@@ -92,43 +92,18 @@ pub fn reduce(oracle: &Oracle, case: &FuzzCase, original: &Divergence) -> Reduce
 fn uses_undefined_vars(body: &[Stmt]) -> bool {
     use std::collections::HashSet;
 
-    fn expr_ok(e: &Expr, defined: &HashSet<u32>) -> bool {
-        match e {
-            Expr::ImmI(_) | Expr::ImmF(_) | Expr::Param(_) | Expr::Special(_) => true,
-            Expr::Var(v) => defined.contains(&v.id),
-            Expr::Un(_, a) | Expr::Cast(_, a) => expr_ok(a, defined),
-            Expr::Bin(_, a, b) | Expr::Cmp(_, a, b) => expr_ok(a, defined) && expr_ok(b, defined),
-            Expr::Select(c, a, b) => {
-                expr_ok(c, defined) && expr_ok(a, defined) && expr_ok(b, defined)
-            }
-            Expr::Load { base, index, .. } => expr_ok(base, defined) && expr_ok(index, defined),
-            Expr::TexFetch { index, .. } => expr_ok(index, defined),
-        }
-    }
-
     fn walk(body: &[Stmt], defined: &mut HashSet<u32>) -> bool {
         for s in body {
+            let reads_undefined =
+                |e: &Expr| e.any(&mut |e| matches!(e, Expr::Var(v) if !defined.contains(&v.id)));
+            if s.exprs().any(reads_undefined) {
+                return false;
+            }
             match s {
-                Stmt::Let(v, e) | Stmt::Assign(v, e) => {
-                    if !expr_ok(e, defined) {
-                        return false;
-                    }
+                Stmt::Let(v, _) | Stmt::Assign(v, _) => {
                     defined.insert(v.id);
                 }
-                Stmt::Store {
-                    base, index, value, ..
-                } => {
-                    if !(expr_ok(base, defined)
-                        && expr_ok(index, defined)
-                        && expr_ok(value, defined))
-                    {
-                        return false;
-                    }
-                }
-                Stmt::If { cond, then_, else_ } => {
-                    if !expr_ok(cond, defined) {
-                        return false;
-                    }
+                Stmt::If { then_, else_, .. } => {
                     let mut dt = defined.clone();
                     let mut de = defined.clone();
                     if !walk(then_, &mut dt) || !walk(else_, &mut de) {
@@ -138,16 +113,7 @@ fn uses_undefined_vars(body: &[Stmt]) -> bool {
                         defined.insert(*id);
                     }
                 }
-                Stmt::For {
-                    var,
-                    start,
-                    end,
-                    body,
-                    ..
-                } => {
-                    if !(expr_ok(start, defined) && expr_ok(end, defined)) {
-                        return false;
-                    }
+                Stmt::For { var, body, .. } => {
                     let mut db = defined.clone();
                     db.insert(var.id);
                     if !walk(body, &mut db) {
@@ -156,33 +122,18 @@ fn uses_undefined_vars(body: &[Stmt]) -> bool {
                     // The induction variable keeps its final value.
                     defined.insert(var.id);
                 }
-                Stmt::While { cond, body } => {
-                    if !expr_ok(cond, defined) {
-                        return false;
-                    }
+                Stmt::While { body, .. } => {
                     let mut db = defined.clone();
                     if !walk(body, &mut db) {
                         return false;
                     }
                 }
-                Stmt::Barrier => {}
-                Stmt::AtomicRmw {
-                    base,
-                    index,
-                    value,
-                    old,
-                    ..
-                } => {
-                    if !(expr_ok(base, defined)
-                        && expr_ok(index, defined)
-                        && expr_ok(value, defined))
-                    {
-                        return false;
-                    }
+                Stmt::AtomicRmw { old, .. } => {
                     if let Some(o) = old {
                         defined.insert(o.id);
                     }
                 }
+                Stmt::Store { .. } | Stmt::Barrier => {}
             }
         }
         true
