@@ -19,10 +19,11 @@
 //! don't, and land in the report as skips the CI gate can tell apart from
 //! regressions.
 
-use crate::experiments::{run_cuda_with, run_opencl_with};
+use crate::experiments::{exec_options_from_env, run_with};
 use crate::pool;
 use crate::pr::Pr;
 use gpucmp_benchmarks::{Scale, Verify};
+use gpucmp_compiler::Api;
 use gpucmp_runtime::FaultPlan;
 use gpucmp_sim::DeviceSpec;
 use gpucmp_trace::{dominant_counter, BenchReport, BenchRun, PrEntry, RUN_FAULT_SKIPPED, RUN_OK};
@@ -174,9 +175,9 @@ fn panic_text(p: Box<dyn std::any::Any + Send>) -> String {
 /// as a failed attempt; after `max_attempts` the triple is reported as
 /// [`RUN_FAULT_SKIPPED`] with the last failure's text and zeroed
 /// metrics, never aborting the campaign.
-fn run_one(opts: &CampaignOptions, i: usize, dev_name: &str, api: &str) -> BenchRun {
+fn run_one(opts: &CampaignOptions, i: usize, dev_name: &str, api: Api) -> BenchRun {
     let bench_name = all_benchmarks(opts.scale)[i].name().to_string();
-    let case = format!("{bench_name}/{dev_name}/{api}");
+    let case = format!("{bench_name}/{dev_name}/{}", api.name());
     let attempts_cap = opts.max_attempts.max(1);
     let mut last_fault = String::new();
     for attempt in 0..attempts_cap {
@@ -186,11 +187,13 @@ fn run_one(opts: &CampaignOptions, i: usize, dev_name: &str, api: &str) -> Bench
         let result = catch_unwind(AssertUnwindSafe(|| {
             let bench = &all_benchmarks(opts.scale)[i];
             let device = DeviceSpec::by_name(dev_name).unwrap();
-            if api == "CUDA" {
-                run_cuda_with(bench.as_ref(), &device, plan.clone())
-            } else {
-                run_opencl_with(bench.as_ref(), &device, plan.clone())
-            }
+            run_with(
+                api,
+                bench.as_ref(),
+                &device,
+                plan.clone(),
+                exec_options_from_env(),
+            )
         }));
         match result {
             Ok(Ok(out)) if out.verify.is_pass() => {
@@ -200,7 +203,7 @@ fn run_one(opts: &CampaignOptions, i: usize, dev_name: &str, api: &str) -> Bench
                 return BenchRun {
                     bench: bench_name,
                     device: dev_name.to_string(),
-                    api: api.to_string(),
+                    api: api.name().to_string(),
                     value: out.value,
                     unit: out.metric.unit().to_string(),
                     verified: true,
@@ -229,7 +232,7 @@ fn run_one(opts: &CampaignOptions, i: usize, dev_name: &str, api: &str) -> Bench
     BenchRun {
         bench: bench_name,
         device: dev_name.to_string(),
-        api: api.to_string(),
+        api: api.name().to_string(),
         value: 0.0,
         unit: String::new(),
         verified: false,
@@ -264,11 +267,11 @@ pub fn bench_report_with(opts: &CampaignOptions) -> BenchReport {
 /// [`bench_report_with`] on a pool of exactly `workers` threads.
 fn campaign_on(workers: usize, opts: &CampaignOptions) -> BenchReport {
     let n = all_benchmarks(opts.scale).len();
-    let triples: Vec<(usize, &'static str, &'static str)> = (0..n)
+    let triples: Vec<(usize, &'static str, Api)> = (0..n)
         .flat_map(|i| {
             CAMPAIGN_DEVICES
                 .into_iter()
-                .flat_map(move |d| [(i, d, "CUDA"), (i, d, "OpenCL")])
+                .flat_map(move |d| Api::both().map(|api| (i, d, api)))
         })
         .enumerate()
         .filter(|&(idx, _)| match opts.shard {
@@ -290,9 +293,9 @@ fn campaign_on(workers: usize, opts: &CampaignOptions) -> BenchReport {
     // The pool returns runs in input order: benchmark registry order,
     // device, then API.
     let runs: Vec<BenchRun> = pool::par_map_on(workers, &triples, |&(i, dev_name, api)| {
-        let hash = input_fingerprint(opts, &bench_names_once[i], dev_name, api);
+        let hash = input_fingerprint(opts, &bench_names_once[i], dev_name, api.name());
         if let Some(hit) = cache.and_then(|c| {
-            c.run(&bench_names_once[i], dev_name, api)
+            c.run(&bench_names_once[i], dev_name, api.name())
                 .filter(|r| r.is_ok() && r.input_hash == hash)
         }) {
             let mut reused = hit.clone();

@@ -29,69 +29,34 @@ pub fn exec_options_from_env() -> ExecOptions {
         .tier(ExecTier::from_env())
 }
 
-/// Run a benchmark through the CUDA runtime on `device`.
-pub fn run_cuda(
+/// Run a benchmark through `api`'s runtime on `device`, with the
+/// environment's [`ExecOptions`] and no fault injection.
+pub fn run(
+    api: Api,
     bench: &dyn Benchmark,
     device: &DeviceSpec,
 ) -> Result<gpucmp_benchmarks::RunOutput, RtError> {
-    run_cuda_with(bench, device, None)
+    run_with(api, bench, device, None, exec_options_from_env())
 }
 
-/// [`run_cuda`] with a fault-injection plan attached to the session
-/// before the benchmark starts.
-pub fn run_cuda_with(
-    bench: &dyn Benchmark,
-    device: &DeviceSpec,
-    plan: Option<FaultPlan>,
-) -> Result<gpucmp_benchmarks::RunOutput, RtError> {
-    run_cuda_with_exec(bench, device, plan, exec_options_from_env())
-}
-
-/// [`run_cuda_with`] with explicit [`ExecOptions`] instead of the
-/// environment-derived ones. Lets differential tests pin the execution
-/// tier and worker count without mutating process-global state.
-pub fn run_cuda_with_exec(
+/// [`run`] with a fault-injection plan attached to the session before the
+/// benchmark starts, and explicit [`ExecOptions`]: differential tests pin
+/// the execution tier and worker count without touching process-global
+/// state.
+pub fn run_with(
+    api: Api,
     bench: &dyn Benchmark,
     device: &DeviceSpec,
     plan: Option<FaultPlan>,
     exec: ExecOptions,
 ) -> Result<gpucmp_benchmarks::RunOutput, RtError> {
-    let mut gpu = Cuda::new(device.clone())?;
+    let mut gpu: Box<dyn Gpu> = match api {
+        Api::Cuda => Box::new(Cuda::new(device.clone())?),
+        Api::OpenCl => Box::new(OpenCl::create_any(device.clone())),
+    };
     gpu.set_exec_options(exec);
     gpu.set_fault_plan(plan);
-    bench.run(&mut gpu)
-}
-
-/// Run a benchmark through the OpenCL runtime on `device`.
-pub fn run_opencl(
-    bench: &dyn Benchmark,
-    device: &DeviceSpec,
-) -> Result<gpucmp_benchmarks::RunOutput, RtError> {
-    run_opencl_with(bench, device, None)
-}
-
-/// [`run_opencl`] with a fault-injection plan attached to the session
-/// before the benchmark starts.
-pub fn run_opencl_with(
-    bench: &dyn Benchmark,
-    device: &DeviceSpec,
-    plan: Option<FaultPlan>,
-) -> Result<gpucmp_benchmarks::RunOutput, RtError> {
-    run_opencl_with_exec(bench, device, plan, exec_options_from_env())
-}
-
-/// [`run_opencl_with`] with explicit [`ExecOptions`] instead of the
-/// environment-derived ones.
-pub fn run_opencl_with_exec(
-    bench: &dyn Benchmark,
-    device: &DeviceSpec,
-    plan: Option<FaultPlan>,
-    exec: ExecOptions,
-) -> Result<gpucmp_benchmarks::RunOutput, RtError> {
-    let mut gpu = OpenCl::create_any(device.clone());
-    gpu.set_exec_options(exec);
-    gpu.set_fault_plan(plan);
-    bench.run(&mut gpu)
+    bench.run(gpu.as_mut())
 }
 
 // ----------------------------------------------------------------------
@@ -187,26 +152,16 @@ fn peak(scale: Scale, flops: bool) -> PeakComparison {
         } else {
             d.theoretical_peak_bandwidth_gbs()
         };
-        for api in ["CUDA", "OpenCL"] {
+        for api in Api::both() {
             let out = if flops {
-                let b = MaxFlops::new(scale);
-                if api == "CUDA" {
-                    run_cuda(&b, d)
-                } else {
-                    run_opencl(&b, d)
-                }
+                run(api, &MaxFlops::new(scale), d)
             } else {
-                let b = DeviceMemory::new(scale);
-                if api == "CUDA" {
-                    run_cuda(&b, d)
-                } else {
-                    run_opencl(&b, d)
-                }
+                run(api, &DeviceMemory::new(scale), d)
             }
             .expect("peak benchmark must run on NVIDIA devices");
             rows.push(PeakRow {
                 device: d.name,
-                api,
+                api: api.name(),
                 achieved: out.value,
                 theoretical,
             });
@@ -303,8 +258,8 @@ pub fn fig3_performance_ratio(scale: Scale) -> Fig3 {
     let rows: Vec<PrRow> = par_map(&pairs, |&(i, dev_name)| {
         let bench = &gpucmp_benchmarks::real_world(scale)[i];
         let device = DeviceSpec::by_name(dev_name).unwrap();
-        let c = run_cuda(bench.as_ref(), &device).expect("CUDA run");
-        let o = run_opencl(bench.as_ref(), &device).expect("OpenCL run");
+        let c = run(Api::Cuda, bench.as_ref(), &device).expect("CUDA run");
+        let o = run(Api::OpenCl, bench.as_ref(), &device).expect("OpenCL run");
         PrRow {
             bench: bench.name(),
             device: device.name,
@@ -389,7 +344,7 @@ impl fmt::Display for ParallelSpeedup {
 pub fn parallel_speedup(scale: Scale, threads: usize) -> ParallelSpeedup {
     let device = DeviceSpec::gtx480();
     let bench = MxM::new(scale);
-    let run_with = |threads: usize| -> (u64, u64) {
+    let time_at = |threads: usize| -> (u64, u64) {
         let mut best = u64::MAX;
         let mut blocks = 0;
         for _ in 0..3 {
@@ -402,8 +357,8 @@ pub fn parallel_speedup(scale: Scale, threads: usize) -> ParallelSpeedup {
         }
         (best, blocks)
     };
-    let (serial_ns, blocks) = run_with(1);
-    let (parallel_ns, _) = run_with(threads);
+    let (serial_ns, blocks) = time_at(1);
+    let (parallel_ns, _) = time_at(threads);
     ParallelSpeedup {
         bench: "MxM",
         device: device.name,
@@ -510,9 +465,9 @@ pub fn fig4_fig5_texture(scale: Scale) -> TextureStudy {
     for dev_name in ["GTX280", "GTX480"] {
         let device = DeviceSpec::by_name(dev_name).unwrap();
         // MD
-        let with_t = run_cuda(&Md::new(scale).with_texture(true), &device).unwrap();
-        let without = run_cuda(&Md::new(scale).with_texture(false), &device).unwrap();
-        let ocl = run_opencl(&Md::new(scale), &device).unwrap();
+        let with_t = run(Api::Cuda, &Md::new(scale).with_texture(true), &device).unwrap();
+        let without = run(Api::Cuda, &Md::new(scale).with_texture(false), &device).unwrap();
+        let ocl = run(Api::OpenCl, &Md::new(scale), &device).unwrap();
         rows.push(TextureRow {
             bench: "MD",
             device: device.name,
@@ -521,9 +476,9 @@ pub fn fig4_fig5_texture(scale: Scale) -> TextureStudy {
             opencl: ocl.value,
         });
         // SPMV
-        let with_t = run_cuda(&Spmv::new(scale).with_texture(true), &device).unwrap();
-        let without = run_cuda(&Spmv::new(scale).with_texture(false), &device).unwrap();
-        let ocl = run_opencl(&Spmv::new(scale), &device).unwrap();
+        let with_t = run(Api::Cuda, &Spmv::new(scale).with_texture(true), &device).unwrap();
+        let without = run(Api::Cuda, &Spmv::new(scale).with_texture(false), &device).unwrap();
+        let ocl = run(Api::OpenCl, &Spmv::new(scale), &device).unwrap();
         rows.push(TextureRow {
             bench: "SPMV",
             device: device.name,
@@ -616,16 +571,16 @@ impl fmt::Display for UnrollStudy {
 pub fn fig6_fig7_unroll(scale: Scale) -> UnrollStudy {
     let rows = par_map(&["GTX280", "GTX480"], |dev_name| {
         let device = DeviceSpec::by_name(dev_name).unwrap();
-        let cuda_ab = run_cuda(&Fdtd::new(scale).with_unroll_a(true), &device)
+        let cuda_ab = run(Api::Cuda, &Fdtd::new(scale).with_unroll_a(true), &device)
             .unwrap()
             .value;
-        let cuda_b = run_cuda(&Fdtd::new(scale).with_unroll_a(false), &device)
+        let cuda_b = run(Api::Cuda, &Fdtd::new(scale).with_unroll_a(false), &device)
             .unwrap()
             .value;
-        let opencl_b = run_opencl(&Fdtd::new(scale).with_unroll_a(false), &device)
+        let opencl_b = run(Api::OpenCl, &Fdtd::new(scale).with_unroll_a(false), &device)
             .unwrap()
             .value;
-        let opencl_ab = run_opencl(&Fdtd::new(scale).with_unroll_a(true), &device)
+        let opencl_ab = run(Api::OpenCl, &Fdtd::new(scale).with_unroll_a(true), &device)
             .unwrap()
             .value;
         UnrollRow {
@@ -697,12 +652,20 @@ pub fn fig8_sobel_constant(scale: Scale) -> Fig8 {
         .iter()
         .map(|dev_name| {
             let device = DeviceSpec::by_name(dev_name).unwrap();
-            let with_c = run_cuda(&Sobel::new(scale).with_const_filter(true), &device)
-                .unwrap()
-                .value;
-            let without = run_cuda(&Sobel::new(scale).with_const_filter(false), &device)
-                .unwrap()
-                .value;
+            let with_c = run(
+                Api::Cuda,
+                &Sobel::new(scale).with_const_filter(true),
+                &device,
+            )
+            .unwrap()
+            .value;
+            let without = run(
+                Api::Cuda,
+                &Sobel::new(scale).with_const_filter(false),
+                &device,
+            )
+            .unwrap()
+            .value;
             SobelRow {
                 device: device.name,
                 with_const_s: with_c,
@@ -828,7 +791,7 @@ pub fn table6_portability(scale: Scale) -> Table6 {
     let mut cells = par_map(&coords, |&(d, b)| {
         let device = DeviceSpec::by_name(device_names[d]).unwrap();
         let bench = &gpucmp_benchmarks::real_world(scale)[b];
-        match run_opencl(bench.as_ref(), &device) {
+        match run(Api::OpenCl, bench.as_ref(), &device) {
             Ok(out) => match out.verify {
                 Verify::Pass => PortCell::Ok(out.value),
                 Verify::Fail(_) => PortCell::Fl,
@@ -906,31 +869,4 @@ pub fn launch_latency() -> LaunchLatency {
         cuda_ns: measure(&mut cuda),
         opencl_ns: measure(&mut ocl),
     }
-}
-
-// ----------------------------------------------------------------------
-// Everything at once
-// ----------------------------------------------------------------------
-
-/// Run every experiment and return the combined report text.
-pub fn run_all(scale: Scale) -> String {
-    let mut out = String::new();
-    out.push_str(&fig1_peak_bandwidth(scale).to_string());
-    out.push('\n');
-    out.push_str(&fig2_peak_flops(scale).to_string());
-    out.push('\n');
-    out.push_str(&fig3_performance_ratio(scale).to_string());
-    out.push('\n');
-    out.push_str(&fig4_fig5_texture(scale).to_string());
-    out.push('\n');
-    out.push_str(&fig6_fig7_unroll(scale).to_string());
-    out.push('\n');
-    out.push_str(&fig8_sobel_constant(scale).to_string());
-    out.push('\n');
-    out.push_str(&table5_ptx_stats().to_string());
-    out.push('\n');
-    out.push_str(&table6_portability(scale).to_string());
-    out.push('\n');
-    out.push_str(&launch_latency().to_string());
-    out
 }

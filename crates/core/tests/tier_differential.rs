@@ -7,7 +7,8 @@
 //! `crates/sim/tests/tiers.rs`.
 
 use gpucmp_benchmarks::{Benchmark, Scale};
-use gpucmp_core::experiments::run_cuda_with_exec;
+use gpucmp_compiler::Api;
+use gpucmp_core::experiments::run_with;
 use gpucmp_runtime::{Cuda, FaultPlan, Gpu, SessionEvent};
 use gpucmp_sim::{DeviceSpec, ExecOptions, ExecStats, ExecTier};
 
@@ -50,8 +51,14 @@ fn fingerprint(out: &gpucmp_benchmarks::RunOutput) -> Fingerprint {
 fn every_benchmark_is_bit_identical_across_tiers_and_thread_counts() {
     let device = DeviceSpec::gtx480();
     for bench in all_benches() {
-        let base = run_cuda_with_exec(bench.as_ref(), &device, None, opts(ExecTier::Interp, 1))
-            .expect("interp baseline");
+        let base = run_with(
+            Api::Cuda,
+            bench.as_ref(),
+            &device,
+            None,
+            opts(ExecTier::Interp, 1),
+        )
+        .expect("interp baseline");
         assert!(base.verify.is_pass(), "{} baseline verifies", bench.name());
         let want = fingerprint(&base);
         for tier in TIERS {
@@ -59,8 +66,14 @@ fn every_benchmark_is_bit_identical_across_tiers_and_thread_counts() {
                 if tier == ExecTier::Interp && threads == 1 {
                     continue; // that is the baseline
                 }
-                let out = run_cuda_with_exec(bench.as_ref(), &device, None, opts(tier, threads))
-                    .expect("tier run");
+                let out = run_with(
+                    Api::Cuda,
+                    bench.as_ref(),
+                    &device,
+                    None,
+                    opts(tier, threads),
+                )
+                .expect("tier run");
                 assert_eq!(
                     fingerprint(&out),
                     want,
@@ -81,7 +94,7 @@ fn faulted_outcome(
     plan: &FaultPlan,
     tier: ExecTier,
 ) -> Result<Fingerprint, String> {
-    run_cuda_with_exec(bench, device, Some(plan.clone()), opts(tier, 1))
+    run_with(Api::Cuda, bench, device, Some(plan.clone()), opts(tier, 1))
         .map(|out| fingerprint(&out))
         .map_err(|e| e.to_string())
 }
