@@ -1,24 +1,21 @@
 //! Host-side tier speed micro-benchmark.
 //!
 //! ```text
-//! cargo run --release -p gpucmp-bench --bin sim_speed -- \
-//!     [--augment BENCH_*.json] [--out sim_speed.json]
+//! cargo run --release -p gpucmp-bench --bin sim_speed -- [--out sim_speed.json]
 //! ```
 //!
 //! Times every campaign benchmark (GTX480, CUDA, quick scale) under each
 //! simulator execution tier — interpreter and decoded — and prints the
-//! speedup matrix. With `--augment`, the matrix is written
-//! into an existing `BENCH_*.json` report's `sim_speed` field (schema
-//! v4) so the CI gate checks it; with `--out`, a standalone JSON file
-//! with just the matrix is written.
+//! speedup matrix. With `--out`, the matrix is also written as a JSON
+//! file.
 //!
 //! Exits non-zero if the decoded tier is slower than the interpreter on
 //! any benchmark — a compiled hot path that loses to instruction-at-a-
 //! time interpretation is a regression, not a measurement.
 
 use gpucmp_benchmarks::Scale;
-use gpucmp_core::sim_speed::{measure_sim_speed, sim_speed_table};
-use gpucmp_trace::{BenchReport, Json, SimSpeed};
+use gpucmp_core::sim_speed::{measure_sim_speed, sim_speed_table, SimSpeed};
+use gpucmp_trace::Json;
 use std::process::ExitCode;
 
 fn matrix_json(rows: &[SimSpeed]) -> Json {
@@ -37,16 +34,14 @@ fn matrix_json(rows: &[SimSpeed]) -> Json {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut augment = None;
     let mut out = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--augment" => augment = it.next().cloned(),
             "--out" => out = it.next().cloned(),
             other => {
                 eprintln!("sim_speed: unknown argument '{other}'");
-                eprintln!("usage: sim_speed [--augment BENCH_*.json] [--out sim_speed.json]");
+                eprintln!("usage: sim_speed [--out sim_speed.json]");
                 return ExitCode::FAILURE;
             }
         }
@@ -62,25 +57,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         println!("sim_speed: wrote {path}");
-    }
-    if let Some(path) = augment {
-        let report = std::fs::read_to_string(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| BenchReport::from_text(&text).map_err(|e| e.msg));
-        match report {
-            Ok(mut report) => {
-                report.sim_speed = rows.clone();
-                if let Err(e) = std::fs::write(&path, report.to_text()) {
-                    eprintln!("sim_speed: cannot rewrite {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("sim_speed: augmented {path} (schema v4 sim_speed matrix)");
-            }
-            Err(e) => {
-                eprintln!("sim_speed: cannot augment {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
     }
 
     let slow: Vec<&SimSpeed> = rows.iter().filter(|s| s.decoded_ns > s.interp_ns).collect();

@@ -21,10 +21,7 @@
 //!   via texture memory — Figs. 4/5);
 //! - the synthetic peak benchmarks are API-neutral (PR within 15 % of
 //!   1 — Figs. 1/2);
-//! - every run carries a populated hardware-counter set;
-//! - when the report carries a tier speed matrix (`sim_speed`, schema
-//!   v4), the decoded execution tier is no slower than the interpreter on
-//!   every benchmark.
+//! - every run carries a populated hardware-counter set.
 //!
 //! # Fault-skipped runs vs regressions
 //!
@@ -96,24 +93,7 @@ fn pair_has_skip(report: &BenchReport, bench: &str, device: &str) -> bool {
 /// Check every paper-shape invariant of `report`, splitting failures
 /// into regressions and acceptable fault-skips.
 pub fn check(report: &BenchReport) -> GateResult {
-    check_with_cache_floor(report, None)
-}
-
-/// Like [`check`], but additionally require at least `min` cache hits
-/// when `min_cache_hits` is set — the incremental-campaign CI job's
-/// assertion that a warm rerun actually reused its previous report.
-pub fn check_with_cache_floor(report: &BenchReport, min_cache_hits: Option<usize>) -> GateResult {
     let mut res = GateResult::default();
-
-    if let Some(min) = min_cache_hits {
-        let hits = report.cache_hits();
-        if hits < min {
-            res.errors.push(format!(
-                "expected at least {min} cached runs, found {hits} — \
-                 the incremental campaign re-executed unchanged cells"
-            ));
-        }
-    }
 
     let want_runs = BENCHES * DEVICES.len() * APIS.len();
     if report.runs.len() != want_runs {
@@ -156,13 +136,6 @@ pub fn check_with_cache_floor(report: &BenchReport, min_cache_hits: Option<usize
         if r.launches == 0 {
             res.errors
                 .push(format!("{id}: no kernel launches recorded"));
-        }
-        // Schema-v3 consistency: a cached row is a verbatim reuse of a
-        // healthy fingerprinted row — a cached skip or a cached row
-        // without its fingerprint is a campaign bug.
-        if r.cached && r.input_hash.is_empty() {
-            res.errors
-                .push(format!("{id}: cached run without an input_hash"));
         }
     }
 
@@ -242,44 +215,16 @@ pub fn check_with_cache_floor(report: &BenchReport, min_cache_hits: Option<usize
         }
     }
 
-    // Schema v4: when the report carries a tier speed matrix, the decoded
-    // tier must not lose to the interpreter anywhere — that would mean
-    // the compiled hot path regressed into pure overhead.
-    for s in &report.sim_speed {
-        if s.decoded_ns > s.interp_ns {
-            res.errors.push(format!(
-                "{}: decoded tier slower than interpreter ({:.3} ms vs {:.3} ms)",
-                s.bench,
-                s.decoded_ns as f64 / 1e6,
-                s.interp_ns as f64 / 1e6
-            ));
-        }
-    }
-
     res
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut path = None;
-    let mut min_cache_hits = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--expect-cache-hits" {
-            min_cache_hits = it.next().and_then(|v| v.parse::<usize>().ok());
-            if min_cache_hits.is_none() {
-                eprintln!("gate: --expect-cache-hits needs a number");
-                return ExitCode::FAILURE;
-            }
-        } else {
-            path = Some(a.clone());
-        }
-    }
-    let Some(path) = path else {
-        eprintln!("usage: gate <BENCH_*.json> [--expect-cache-hits <n>]");
+    let [path] = args.as_slice() else {
+        eprintln!("usage: gate <BENCH_*.json>");
         return ExitCode::FAILURE;
     };
-    let text = match std::fs::read_to_string(&path) {
+    let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("gate: cannot read {path}: {e}");
@@ -293,17 +238,16 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let res = check_with_cache_floor(&report, min_cache_hits);
+    let res = check(&report);
     for s in &res.skips {
         eprintln!("gate: SKIP — {s}");
     }
     match res.exit_code() {
         0 => {
             println!(
-                "gate: PASS — {} runs at scale '{}' ({} cached), all paper-shape invariants hold",
+                "gate: PASS — {} runs at scale '{}', all paper-shape invariants hold",
                 report.runs.len(),
-                report.scale,
-                report.cache_hits()
+                report.scale
             );
             ExitCode::SUCCESS
         }
@@ -383,8 +327,6 @@ mod tests {
                         status: RUN_OK.into(),
                         fault: None,
                         attempts: 1,
-                        input_hash: "0123456789abcdef".into(),
-                        cached: false,
                     });
                 }
                 let pr = match bench {
@@ -469,56 +411,6 @@ mod tests {
             .errors
             .iter()
             .any(|e| e.contains("expected 84 runs")));
-    }
-
-    #[test]
-    fn a_slow_decoded_tier_fails_the_gate() {
-        let mut r = passing_report();
-        r.sim_speed = vec![
-            gpucmp_trace::SimSpeed {
-                bench: "MxM".into(),
-                interp_ns: 9_000_000,
-                decoded_ns: 6_000_000,
-            },
-            gpucmp_trace::SimSpeed {
-                bench: "BFS".into(),
-                interp_ns: 1_000_000,
-                decoded_ns: 1_500_000,
-            },
-        ];
-        let res = check(&r);
-        assert_eq!(res.exit_code(), 1);
-        assert!(res
-            .errors
-            .iter()
-            .any(|e| e.contains("BFS: decoded tier slower")));
-        // Fix the slow row and the gate passes again.
-        r.sim_speed[1].decoded_ns = 800_000;
-        assert_eq!(check(&r).exit_code(), 0);
-    }
-
-    #[test]
-    fn cache_floor_is_enforced_when_requested() {
-        let mut r = passing_report();
-        // No floor: a cache-less report is fine.
-        assert_eq!(check_with_cache_floor(&r, None).exit_code(), 0);
-        // A floor over an uncached report regresses.
-        let res = check_with_cache_floor(&r, Some(69));
-        assert_eq!(res.exit_code(), 1);
-        assert!(res.errors.iter().any(|e| e.contains("cached runs")));
-        // Mark enough rows cached and the same floor passes.
-        for run in r.runs.iter_mut().take(72) {
-            run.cached = true;
-        }
-        assert_eq!(check_with_cache_floor(&r, Some(69)).exit_code(), 0);
-        // A cached row that lost its fingerprint is a campaign bug.
-        r.runs[0].input_hash.clear();
-        let res = check_with_cache_floor(&r, Some(69));
-        assert_eq!(res.exit_code(), 1);
-        assert!(res
-            .errors
-            .iter()
-            .any(|e| e.contains("without an input_hash")));
     }
 
     #[test]

@@ -32,21 +32,15 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// Device names the campaign covers (the paper's CUDA-capable pair).
 pub const CAMPAIGN_DEVICES: [&str; 2] = ["GTX280", "GTX480"];
 
-/// Revision of everything upstream of a campaign cell's numbers — the
-/// timing model, the benchmark sources, the compiler. Bump whenever a
-/// change can move any cell's output so stale rows stop cache-matching.
-pub const CAMPAIGN_MODEL_REV: u32 = 1;
-
-/// FNV-1a 64 of the quick campaign's report text at this
-/// [`CAMPAIGN_MODEL_REV`]. A test pins it, so a change that moves any
-/// simulated number, counter or attribution fails tier-1 until the revision
-/// is bumped and EXPERIMENTS.md says why.
+/// FNV-1a 64 of the quick campaign's report text. A test pins it, so a
+/// change that moves any simulated number, counter or attribution fails
+/// tier-1 until EXPERIMENTS.md says why and the pin takes the new digest.
 #[cfg(test)]
-const QUICK_REPORT_FNV: u64 = 0xdd23_18fd_ab14_f350;
+const QUICK_REPORT_FNV: u64 = 0xe1d9_3487_a43c_9703;
 
 /// How the campaign runs: problem scale, optional seeded fault
-/// injection, the per-triple retry budget, an optional result cache, and
-/// an optional shard of the run matrix.
+/// injection, the per-triple retry budget, and an optional shard of the
+/// run matrix.
 #[derive(Clone, Debug)]
 pub struct CampaignOptions {
     /// Problem-size scale for every benchmark.
@@ -58,14 +52,8 @@ pub struct CampaignOptions {
     /// Attempts per triple before it is recorded as fault-skipped
     /// (clamped to at least 1).
     pub max_attempts: u32,
-    /// A previous campaign's report: any cell whose
-    /// [`input_fingerprint`] matches a healthy row in it is reused
-    /// (marked `cached`) instead of re-executed. Ignored under fault
-    /// injection — an injection campaign must actually inject.
-    pub cache_from: Option<BenchReport>,
     /// Run only the triples with `index % shards == shard` (as
-    /// `(shard, shards)`); merge the partial reports with
-    /// [`merge_reports`]. `None` runs everything.
+    /// `(shard, shards)`). `None` runs everything.
     pub shard: Option<(u32, u32)>,
 }
 
@@ -76,7 +64,6 @@ impl CampaignOptions {
             scale,
             fault_seed: None,
             max_attempts: 2,
-            cache_from: None,
             shard: None,
         }
     }
@@ -86,11 +73,7 @@ impl CampaignOptions {
     /// - `GPUCMP_FAULT_SEED` — enable a seeded fault-injection campaign;
     /// - `GPUCMP_FAULT_ATTEMPTS` — override the retry budget (`1` makes
     ///   every injected fault unrecoverable, exercising the
-    ///   partial-report path end to end);
-    /// - `GPUCMP_CACHE_FROM` — path of a previous `BENCH_*.json` to reuse
-    ///   unchanged cells from (unreadable/invalid files just disable the
-    ///   cache);
-    /// - `GPUCMP_SHARD` — `"i/n"` runs shard `i` of `n` (0-based).
+    ///   partial-report path end to end).
     pub fn from_env(scale: Scale) -> Self {
         let parse = |var: &str| {
             std::env::var(var)
@@ -102,53 +85,8 @@ impl CampaignOptions {
         if let Some(n) = parse("GPUCMP_FAULT_ATTEMPTS") {
             opts.max_attempts = n.clamp(1, 16) as u32;
         }
-        opts.cache_from = std::env::var("GPUCMP_CACHE_FROM")
-            .ok()
-            .and_then(|path| std::fs::read_to_string(path).ok())
-            .and_then(|text| BenchReport::from_text(&text).ok());
-        opts.shard = std::env::var("GPUCMP_SHARD").ok().and_then(|s| {
-            let (i, n) = s.trim().split_once('/')?;
-            let (i, n) = (i.parse::<u32>().ok()?, n.parse::<u32>().ok()?);
-            (n > 0 && i < n).then_some((i, n))
-        });
         opts
     }
-}
-
-/// Fingerprint of everything that determines one campaign cell's
-/// numbers: the cell coordinates, the problem scale, the fault-injection
-/// settings, and [`CAMPAIGN_MODEL_REV`]. FNV-1a 64, rendered as 16 hex
-/// digits. Two campaigns produce the same fingerprint for a cell exactly
-/// when re-running it would reproduce the same row.
-pub fn input_fingerprint(opts: &CampaignOptions, bench: &str, device: &str, api: &str) -> String {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    };
-    eat(&CAMPAIGN_MODEL_REV.to_le_bytes());
-    for part in [
-        match opts.scale {
-            Scale::Quick => "quick",
-            Scale::Paper => "paper",
-        },
-        bench,
-        device,
-        api,
-    ] {
-        eat(part.as_bytes());
-        eat(b"|");
-    }
-    match opts.fault_seed {
-        Some(seed) => {
-            eat(&seed.to_le_bytes());
-            eat(&opts.max_attempts.max(1).to_le_bytes());
-        }
-        None => eat(b"no-faults"),
-    }
-    format!("{h:016x}")
 }
 
 pub(crate) fn all_benchmarks(scale: Scale) -> Vec<Box<dyn gpucmp_benchmarks::Benchmark>> {
@@ -215,8 +153,6 @@ fn run_one(opts: &CampaignOptions, i: usize, dev_name: &str, api: Api) -> BenchR
                     status: RUN_OK.to_string(),
                     fault: None,
                     attempts: attempt + 1,
-                    input_hash: String::new(), // stamped by bench_report_with
-                    cached: false,
                 };
             }
             Ok(Ok(out)) => {
@@ -244,8 +180,6 @@ fn run_one(opts: &CampaignOptions, i: usize, dev_name: &str, api: Api) -> BenchR
         status: RUN_FAULT_SKIPPED.to_string(),
         fault: Some(last_fault),
         attempts: attempts_cap,
-        input_hash: String::new(), // stamped by bench_report_with
-        cached: false,
     }
 }
 
@@ -257,9 +191,7 @@ pub fn bench_report(scale: Scale) -> BenchReport {
 /// Run the whole campaign under `opts`. Parallelised over (benchmark,
 /// device, API) triples; every number — including which triples are
 /// fault-skipped under a seeded plan — is deterministic for any host
-/// thread count. With `opts.cache_from`, any triple whose fingerprint
-/// matches a healthy cached row is reused instead of re-executed; with
-/// `opts.shard`, only that slice of the matrix runs.
+/// thread count. With `opts.shard`, only that slice of the matrix runs.
 pub fn bench_report_with(opts: &CampaignOptions) -> BenchReport {
     campaign_on(pool::default_workers(), opts)
 }
@@ -280,32 +212,10 @@ fn campaign_on(workers: usize, opts: &CampaignOptions) -> BenchReport {
         })
         .map(|(_, t)| t)
         .collect();
-    let bench_names_once: Vec<String> = {
-        let all = all_benchmarks(opts.scale);
-        all.iter().map(|b| b.name().to_string()).collect()
-    };
-    // An injection campaign must actually inject: never serve it from
-    // cache, even though the fingerprint would distinguish the seeds.
-    let cache = opts
-        .cache_from
-        .as_ref()
-        .filter(|_| opts.fault_seed.is_none());
     // The pool returns runs in input order: benchmark registry order,
     // device, then API.
     let runs: Vec<BenchRun> = pool::par_map_on(workers, &triples, |&(i, dev_name, api)| {
-        let hash = input_fingerprint(opts, &bench_names_once[i], dev_name, api.name());
-        if let Some(hit) = cache.and_then(|c| {
-            c.run(&bench_names_once[i], dev_name, api.name())
-                .filter(|r| r.is_ok() && r.input_hash == hash)
-        }) {
-            let mut reused = hit.clone();
-            reused.cached = true;
-            return reused;
-        }
-        let mut run = run_one(opts, i, dev_name, api);
-        run.input_hash = hash;
-        run.cached = false;
-        run
+        run_one(opts, i, dev_name, api)
     });
     let prs = derive_prs(&runs);
 
@@ -317,13 +227,11 @@ fn campaign_on(workers: usize, opts: &CampaignOptions) -> BenchReport {
         fault_seed: opts.fault_seed,
         runs,
         prs,
-        sim_speed: vec![],
     }
 }
 
-/// Derive the per-(benchmark, device) PR table from a run list — the
-/// shared tail of a full campaign and of [`merge_reports`].
-pub fn derive_prs(runs: &[BenchRun]) -> Vec<PrEntry> {
+/// Derive the per-(benchmark, device) PR table from a run list.
+fn derive_prs(runs: &[BenchRun]) -> Vec<PrEntry> {
     let bench_names: Vec<String> = {
         let mut seen = Vec::new();
         for r in runs {
@@ -336,14 +244,14 @@ pub fn derive_prs(runs: &[BenchRun]) -> Vec<PrEntry> {
     let mut prs = Vec::new();
     for bench in &bench_names {
         for dev in CAMPAIGN_DEVICES {
-            let find = |api: &str| {
+            let find = |api: Api| {
                 runs.iter()
-                    .find(|r| &r.bench == bench && r.device == dev && r.api == api)
+                    .find(|r| &r.bench == bench && r.device == dev && r.api == api.name())
                     .filter(|r| r.is_ok())
             };
             // A PR needs both sides; a fault-skipped run leaves a hole
             // the gate recognises through the runs table.
-            let (Some(c), Some(o)) = (find("CUDA"), find("OpenCL")) else {
+            let (Some(c), Some(o)) = (find(Api::Cuda), find(Api::OpenCl)) else {
                 continue;
             };
             let perf = |r: &BenchRun| {
@@ -377,85 +285,6 @@ pub fn derive_prs(runs: &[BenchRun]) -> Vec<PrEntry> {
         }
     }
     prs
-}
-
-/// Merge sharded partial reports into one full campaign report: union
-/// the run rows, restore the registry run order, and re-derive the PR
-/// table over the combined runs.
-///
-/// The parts must be *disjoint* shards of one campaign: a
-/// (bench, device, API) triple appearing in two parts — overlapping
-/// `GPUCMP_SHARD` slices, or the same shard merged twice — is an error,
-/// as is a scale or fault-seed disagreement. Silently deduplicating
-/// would hide a mis-sharded campaign behind whichever row came first.
-pub fn merge_reports(parts: &[BenchReport]) -> Result<BenchReport, String> {
-    let Some(first) = parts.first() else {
-        return Ok(BenchReport::default());
-    };
-    let scale = first.scale.clone();
-    let fault_seed = first.fault_seed;
-    for (i, p) in parts.iter().enumerate() {
-        if p.scale != scale || p.fault_seed != fault_seed {
-            return Err(format!(
-                "merge_reports: shard {i} ran scale={} fault_seed={:?}, \
-                 shard 0 ran scale={scale} fault_seed={fault_seed:?} — \
-                 all GPUCMP_SHARD parts must come from one campaign",
-                p.scale, p.fault_seed
-            ));
-        }
-    }
-    let registry: Vec<String> = {
-        let s = if scale == "paper" {
-            Scale::Paper
-        } else {
-            Scale::Quick
-        };
-        all_benchmarks(s)
-            .iter()
-            .map(|b| b.name().to_string())
-            .collect()
-    };
-    let mut runs: Vec<BenchRun> = Vec::new();
-    for p in parts {
-        for r in &p.runs {
-            if runs
-                .iter()
-                .any(|q| q.bench == r.bench && q.device == r.device && q.api == r.api)
-            {
-                return Err(format!(
-                    "merge_reports: duplicate run {}/{}/{} — the shards \
-                     overlap (check the GPUCMP_SHARD=i/n slices are \
-                     disjoint and no part is merged twice)",
-                    r.bench, r.device, r.api
-                ));
-            }
-            runs.push(r.clone());
-        }
-    }
-    let pos = |name: &str| {
-        registry
-            .iter()
-            .position(|n| n == name)
-            .unwrap_or(usize::MAX)
-    };
-    runs.sort_by(|a, b| {
-        (pos(&a.bench), &a.device, &a.api).cmp(&(pos(&b.bench), &b.device, &b.api))
-    });
-    let prs = derive_prs(&runs);
-    // The tier speed matrix is measured once per campaign, not per shard:
-    // keep the first part's, if any.
-    let sim_speed = parts
-        .iter()
-        .find(|p| !p.sim_speed.is_empty())
-        .map(|p| p.sim_speed.clone())
-        .unwrap_or_default();
-    Ok(BenchReport {
-        scale,
-        fault_seed,
-        runs,
-        prs,
-        sim_speed,
-    })
 }
 
 #[cfg(test)]
@@ -502,66 +331,20 @@ mod tests {
         assert_eq!(parsed.runs.len(), report.runs.len());
         assert_eq!(parsed.scale, "quick");
         assert_eq!(parsed.fault_seed, None);
-        // byte for byte, the report of this model revision
+        // byte for byte, the pinned report
         let digest = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
             (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
         });
         assert_eq!(
             digest, QUICK_REPORT_FNV,
             "the quick report now hashes to {digest:#018x}: a change that moves \
-             campaign output needs a CAMPAIGN_MODEL_REV bump and an EXPERIMENTS.md \
-             note before QUICK_REPORT_FNV takes the new digest"
+             campaign output needs an EXPERIMENTS.md note before QUICK_REPORT_FNV \
+             takes the new digest"
         );
     }
 
     #[test]
-    fn unchanged_cells_are_reused_from_cache() {
-        let first = bench_report(Scale::Quick);
-        assert_eq!(first.cache_hits(), 0, "a cold campaign executes everything");
-        assert!(first
-            .runs
-            .iter()
-            .all(|r| r.input_hash.len() == 16 && !r.cached));
-
-        // Second campaign over the same inputs: every cell is a hit.
-        let opts = CampaignOptions {
-            cache_from: Some(first.clone()),
-            ..CampaignOptions::new(Scale::Quick)
-        };
-        let second = bench_report_with(&opts);
-        assert_eq!(second.cache_hits(), second.runs.len());
-        for (a, b) in first.runs.iter().zip(&second.runs) {
-            assert_eq!(a.input_hash, b.input_hash);
-            assert_eq!(a.value, b.value);
-            assert!(b.cached);
-        }
-        // The PR table is re-derived and identical.
-        for (a, b) in first.prs.iter().zip(&second.prs) {
-            assert_eq!(a.pr, b.pr);
-            assert_eq!(a.dominant_counter, b.dominant_counter);
-        }
-
-        // A stale fingerprint forces exactly that cell to re-execute.
-        let mut stale = first.clone();
-        let key = (
-            stale.runs[0].bench.clone(),
-            stale.runs[0].device.clone(),
-            stale.runs[0].api.clone(),
-        );
-        stale.runs[0].input_hash = "stale".into();
-        let opts = CampaignOptions {
-            cache_from: Some(stale),
-            ..CampaignOptions::new(Scale::Quick)
-        };
-        let third = bench_report_with(&opts);
-        assert_eq!(third.cache_hits(), third.runs.len() - 1);
-        let rerun = third.run(&key.0, &key.1, &key.2).unwrap();
-        assert!(!rerun.cached);
-        assert_eq!(rerun.input_hash, first.runs[0].input_hash);
-    }
-
-    #[test]
-    fn sharded_campaign_merges_to_the_full_matrix() {
+    fn shards_partition_the_full_matrix() {
         let full = bench_report(Scale::Quick);
         let parts: Vec<BenchReport> = (0..2)
             .map(|i| {
@@ -573,15 +356,10 @@ mod tests {
             })
             .collect();
         assert!(parts.iter().all(|p| p.runs.len() == 42), "half each");
-        let merged = merge_reports(&parts).unwrap();
-        assert_eq!(merged.runs.len(), full.runs.len());
-        assert_eq!(merged.prs.len(), full.prs.len());
-        for (a, b) in full.runs.iter().zip(&merged.runs) {
-            assert_eq!((&a.bench, &a.device, &a.api), (&b.bench, &b.device, &b.api));
-            assert_eq!(a.value, b.value);
-        }
-        for (a, b) in full.prs.iter().zip(&merged.prs) {
-            assert_eq!(a.pr, b.pr);
+        // Triple k of the full campaign is row k / 2 of shard k % 2.
+        for (k, run) in full.runs.iter().enumerate() {
+            let part = &parts[k % 2].runs[k / 2];
+            assert_eq!(format!("{run:?}"), format!("{part:?}"), "triple {k}");
         }
     }
 
@@ -597,51 +375,6 @@ mod tests {
         let pooled = campaign_on(3, &opts).to_text();
         assert!(serial.contains("\"GTX480\""));
         assert_eq!(serial, pooled);
-    }
-
-    #[test]
-    fn overlapping_shards_are_rejected_not_double_counted() {
-        let shard = |i| {
-            let opts = CampaignOptions {
-                shard: Some((i, 2)),
-                ..CampaignOptions::new(Scale::Quick)
-            };
-            bench_report_with(&opts)
-        };
-        let (a, b) = (shard(0), shard(1));
-
-        // The same shard twice: every triple collides.
-        let err = merge_reports(&[a.clone(), a.clone()]).unwrap_err();
-        assert!(err.contains("duplicate run"), "{err}");
-        assert!(err.contains("GPUCMP_SHARD"), "{err}");
-
-        // Overlapping slices: a disjoint half plus a full campaign.
-        let full = bench_report(Scale::Quick);
-        let err = merge_reports(&[b.clone(), full]).unwrap_err();
-        assert!(err.contains("duplicate run"), "{err}");
-
-        // Shards from different campaigns don't merge either.
-        let opts = CampaignOptions {
-            fault_seed: Some(7),
-            shard: Some((1, 2)),
-            ..CampaignOptions::new(Scale::Quick)
-        };
-        let err = merge_reports(&[a, bench_report_with(&opts)]).unwrap_err();
-        assert!(err.contains("fault_seed"), "{err}");
-        assert!(merge_reports(&[b.clone(), b]).is_err());
-    }
-
-    #[test]
-    fn fault_campaigns_never_serve_from_cache() {
-        let clean = bench_report(Scale::Quick);
-        let opts = CampaignOptions {
-            fault_seed: Some(42),
-            cache_from: Some(clean),
-            ..CampaignOptions::new(Scale::Quick)
-        };
-        let report = bench_report_with(&opts);
-        assert_eq!(report.cache_hits(), 0, "injection campaigns must inject");
-        assert!(report.runs.iter().filter(|r| r.attempts > 1).count() > 5);
     }
 
     #[test]

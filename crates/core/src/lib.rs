@@ -17,7 +17,7 @@
 //! - [`bench_report`] — the profiled 84-run campaign behind the
 //!   machine-readable `BENCH_<timestamp>.json` report that CI gates on;
 //! - [`sim_speed`] — host wall-clock of the simulator's execution tiers
-//!   (interpreter / decoded), the report's speedup matrix.
+//!   (interpreter / decoded), the `sim_speed` binary's speedup matrix.
 
 #![cfg_attr(not(test), warn(unused_crate_dependencies))]
 

@@ -18,7 +18,26 @@ use crate::bench_report::all_benchmarks;
 use gpucmp_benchmarks::{Benchmark, Scale};
 use gpucmp_runtime::{Cuda, Gpu};
 use gpucmp_sim::{DeviceSpec, ExecOptions, ExecTier};
-use gpucmp_trace::SimSpeed;
+
+/// Host wall-clock of one benchmark simulated under each execution tier.
+/// The simulated reports are bit-identical across tiers; only the host
+/// time to produce them moves.
+#[derive(Clone, Debug)]
+pub struct SimSpeed {
+    /// Benchmark name.
+    pub bench: String,
+    /// Host execution+merge time under the interpreter tier, ns.
+    pub interp_ns: u64,
+    /// Host execution+merge time under the decoded tier, ns.
+    pub decoded_ns: u64,
+}
+
+impl SimSpeed {
+    /// Interpreter / decoded host wall-clock ratio.
+    pub fn decoded_speedup(&self) -> f64 {
+        self.interp_ns as f64 / (self.decoded_ns.max(1)) as f64
+    }
+}
 
 /// Repetitions per (benchmark, tier); the minimum is reported.
 pub const SIM_SPEED_REPS: u32 = 5;

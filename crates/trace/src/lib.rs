@@ -22,6 +22,5 @@ pub mod report;
 pub use chrome::{chrome_trace, chrome_trace_multi};
 pub use json::{parse, Json, JsonError};
 pub use report::{
-    dominant_counter, BenchReport, BenchRun, PrEntry, SimSpeed, MIN_SCHEMA_VERSION,
-    RUN_FAULT_SKIPPED, RUN_OK, SCHEMA_VERSION,
+    dominant_counter, BenchReport, BenchRun, PrEntry, RUN_FAULT_SKIPPED, RUN_OK, SCHEMA_VERSION,
 };

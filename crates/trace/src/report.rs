@@ -11,17 +11,10 @@
 use crate::json::{parse, Json, JsonError};
 use gpucmp_sim::CounterSet;
 
-/// Report schema version; bump on breaking layout changes. Version 2
-/// added per-run fault status (`status`/`fault`/`attempts`) for graceful
-/// campaign degradation; version 3 added incremental-campaign support
-/// (`input_hash`/`cached` per run) so unchanged cells can be reused from
-/// a previous report; version 4 added the optional `sim_speed` matrix
-/// (host wall-clock per execution tier). Older documents still parse
-/// (status defaults to `"ok"`, `input_hash` to empty, `cached` to false,
-/// `sim_speed` to empty).
-pub const SCHEMA_VERSION: i64 = 4;
-/// Oldest schema version [`BenchReport::from_text`] still accepts.
-pub const MIN_SCHEMA_VERSION: i64 = 1;
+/// Report schema version. [`BenchReport::from_text`] accepts this version
+/// only, with every field present: a report is read back by the build
+/// that wrote it, never by a later one.
+pub const SCHEMA_VERSION: i64 = 5;
 
 /// [`BenchRun::status`] of a run that completed and verified.
 pub const RUN_OK: &str = "ok";
@@ -61,13 +54,6 @@ pub struct BenchRun {
     /// Attempts consumed (1 = first try succeeded; >1 = bounded retry
     /// recovered or, for skipped runs, every retry failed).
     pub attempts: u32,
-    /// Hex fingerprint of everything that determines this cell's numbers
-    /// (benchmark, device, API, scale, fault settings, model revision).
-    /// Empty in pre-v3 reports — such rows never match a cache lookup.
-    pub input_hash: String,
-    /// Whether this row was reused from a previous report (same
-    /// `input_hash`) instead of being re-executed.
-    pub cached: bool,
 }
 
 impl BenchRun {
@@ -91,26 +77,6 @@ pub struct PrEntry {
     pub dominant_counter: String,
 }
 
-/// Host wall-clock of one benchmark simulated under each execution tier
-/// (interpreter / decoded). The simulated reports are bit-identical
-/// across tiers; only the host time to produce them moves.
-#[derive(Clone, Debug)]
-pub struct SimSpeed {
-    /// Benchmark name.
-    pub bench: String,
-    /// Host execution+merge time under the interpreter tier, ns.
-    pub interp_ns: u64,
-    /// Host execution+merge time under the decoded tier, ns.
-    pub decoded_ns: u64,
-}
-
-impl SimSpeed {
-    /// Interpreter / decoded host wall-clock ratio.
-    pub fn decoded_speedup(&self) -> f64 {
-        self.interp_ns as f64 / (self.decoded_ns.max(1)) as f64
-    }
-}
-
 /// A whole benchmark campaign, serialisable to/from `BENCH_*.json`.
 #[derive(Clone, Debug, Default)]
 pub struct BenchReport {
@@ -124,9 +90,6 @@ pub struct BenchReport {
     pub runs: Vec<BenchRun>,
     /// Per-(bench, device) PR rows.
     pub prs: Vec<PrEntry>,
-    /// Host-side tier speed matrix (schema v4, optional — empty when the
-    /// campaign did not measure simulator speed).
-    pub sim_speed: Vec<SimSpeed>,
 }
 
 impl BenchReport {
@@ -135,11 +98,6 @@ impl BenchReport {
     /// warning instead of a regression.
     pub fn is_partial(&self) -> bool {
         self.runs.iter().any(|r| !r.is_ok())
-    }
-
-    /// Number of runs reused from a previous report's cache.
-    pub fn cache_hits(&self) -> usize {
-        self.runs.iter().filter(|r| r.cached).count()
     }
 
     /// Find a run.
@@ -182,8 +140,6 @@ impl BenchReport {
                         },
                     ),
                     ("attempts", (r.attempts as u64).into()),
-                    ("input_hash", r.input_hash.as_str().into()),
-                    ("cached", r.cached.into()),
                     (
                         "counters",
                         Json::Obj(
@@ -208,17 +164,6 @@ impl BenchReport {
                 ])
             })
             .collect();
-        let sim_speed = self
-            .sim_speed
-            .iter()
-            .map(|s| {
-                Json::obj([
-                    ("bench", s.bench.as_str().into()),
-                    ("interp_ns", s.interp_ns.into()),
-                    ("decoded_ns", s.decoded_ns.into()),
-                ])
-            })
-            .collect();
         Json::obj([
             ("schema", Json::Int(SCHEMA_VERSION)),
             ("scale", self.scale.as_str().into()),
@@ -231,7 +176,6 @@ impl BenchReport {
             ),
             ("runs", Json::Arr(runs)),
             ("prs", Json::Arr(prs)),
-            ("sim_speed", Json::Arr(sim_speed)),
         ])
     }
 
@@ -243,132 +187,90 @@ impl BenchReport {
     /// Parse back from JSON text (the gate's entry point).
     pub fn from_text(text: &str) -> Result<BenchReport, JsonError> {
         let doc = parse(text)?;
-        let bad = |msg: &str| JsonError {
-            msg: msg.to_string(),
-            at: 0,
-        };
-        let schema = doc
-            .get("schema")
-            .and_then(Json::as_i64)
-            .ok_or_else(|| bad("missing schema"))?;
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&schema) {
-            return Err(bad(&format!("unsupported schema version {schema}")));
+        let schema = member(&doc, "schema")?.as_i64();
+        if schema != Some(SCHEMA_VERSION) {
+            return Err(bad(format!(
+                "unsupported schema version {schema:?}, want {SCHEMA_VERSION}"
+            )));
         }
-        let scale = doc
-            .get("scale")
-            .and_then(Json::as_str)
-            .unwrap_or("")
-            .to_string();
-        let fault_seed = doc
-            .get("fault_seed")
-            .and_then(Json::as_f64)
-            .map(|v| v as u64);
+        let fault_seed = match member(&doc, "fault_seed")? {
+            Json::Null => None,
+            _ => Some(number(&doc, "fault_seed")? as u64),
+        };
         let mut runs = Vec::new();
-        for r in doc
-            .get("runs")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("missing runs"))?
-        {
-            let field_str = |k: &str| {
-                r.get(k)
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| bad(&format!("run missing '{k}'")))
-            };
-            let field_num = |k: &str| {
-                r.get(k)
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| bad(&format!("run missing '{k}'")))
+        for r in array(&doc, "runs")? {
+            let Json::Obj(members) = member(r, "counters")? else {
+                return Err(bad("run 'counters' is not an object".into()));
             };
             let mut counters = CounterSet::new();
-            if let Some(Json::Obj(members)) = r.get("counters") {
-                for (n, v) in members {
-                    counters.push(n.clone(), v.as_f64().unwrap_or(0.0));
-                }
+            for (n, v) in members {
+                counters.push(n.clone(), v.as_f64().unwrap_or(0.0));
             }
             runs.push(BenchRun {
-                bench: field_str("bench")?,
-                device: field_str("device")?,
-                api: field_str("api")?,
-                value: field_num("value")?,
-                unit: field_str("unit")?,
-                verified: r.get("verified").and_then(Json::as_bool).unwrap_or(false),
-                wall_ns: field_num("wall_ns")?,
-                kernel_ns: field_num("kernel_ns")?,
-                launches: field_num("launches")? as u64,
-                sim_cycles: field_num("sim_cycles")?,
+                bench: string(r, "bench")?,
+                device: string(r, "device")?,
+                api: string(r, "api")?,
+                value: number(r, "value")?,
+                unit: string(r, "unit")?,
+                verified: member(r, "verified")?
+                    .as_bool()
+                    .ok_or_else(|| bad("bad 'verified'".into()))?,
+                wall_ns: number(r, "wall_ns")?,
+                kernel_ns: number(r, "kernel_ns")?,
+                launches: number(r, "launches")? as u64,
+                sim_cycles: number(r, "sim_cycles")?,
                 counters,
-                // schema-1 reports predate fault status: every row is ok
-                status: r
-                    .get("status")
-                    .and_then(Json::as_str)
-                    .unwrap_or(RUN_OK)
-                    .to_string(),
-                fault: r.get("fault").and_then(Json::as_str).map(str::to_string),
-                attempts: r.get("attempts").and_then(Json::as_f64).unwrap_or(1.0) as u32,
-                // schema-1/2 reports predate incremental campaigns: no
-                // fingerprint (never cache-matches), not cached
-                input_hash: r
-                    .get("input_hash")
-                    .and_then(Json::as_str)
-                    .unwrap_or("")
-                    .to_string(),
-                cached: r.get("cached").and_then(Json::as_bool).unwrap_or(false),
+                status: string(r, "status")?,
+                fault: match member(r, "fault")? {
+                    Json::Null => None,
+                    _ => Some(string(r, "fault")?),
+                },
+                attempts: number(r, "attempts")? as u32,
             });
         }
         let mut prs = Vec::new();
-        for p in doc
-            .get("prs")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("missing prs"))?
-        {
+        for p in array(&doc, "prs")? {
             prs.push(PrEntry {
-                bench: p
-                    .get("bench")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("pr missing 'bench'"))?
-                    .to_string(),
-                device: p
-                    .get("device")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("pr missing 'device'"))?
-                    .to_string(),
-                pr: p
-                    .get("pr")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| bad("pr missing 'pr'"))?,
-                dominant_counter: p
-                    .get("dominant_counter")
-                    .and_then(Json::as_str)
-                    .unwrap_or("")
-                    .to_string(),
+                bench: string(p, "bench")?,
+                device: string(p, "device")?,
+                pr: number(p, "pr")?,
+                dominant_counter: string(p, "dominant_counter")?,
             });
         }
-        // pre-v4 reports predate the tier speed matrix: empty. Rows written
-        // while a third tier existed also carry `fused_ns`, which is ignored.
-        let mut sim_speed = Vec::new();
-        if let Some(entries) = doc.get("sim_speed").and_then(Json::as_arr) {
-            for s in entries {
-                let num = |k: &str| s.get(k).and_then(Json::as_f64).unwrap_or(0.0) as u64;
-                sim_speed.push(SimSpeed {
-                    bench: s
-                        .get("bench")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| bad("sim_speed missing 'bench'"))?
-                        .to_string(),
-                    interp_ns: num("interp_ns"),
-                    decoded_ns: num("decoded_ns"),
-                });
-            }
-        }
         Ok(BenchReport {
-            scale,
+            scale: string(&doc, "scale")?,
             fault_seed,
             runs,
             prs,
-            sim_speed,
         })
     }
+}
+
+fn bad(msg: String) -> JsonError {
+    JsonError { msg, at: 0 }
+}
+
+/// Member `key` of the object `obj`, which every report must carry.
+fn member<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, JsonError> {
+    obj.get(key).ok_or_else(|| bad(format!("missing '{key}'")))
+}
+
+fn string(obj: &Json, key: &str) -> Result<String, JsonError> {
+    let v = member(obj, key)?.as_str();
+    v.map(str::to_string)
+        .ok_or_else(|| bad(format!("'{key}' is not a string")))
+}
+
+fn number(obj: &Json, key: &str) -> Result<f64, JsonError> {
+    member(obj, key)?
+        .as_f64()
+        .ok_or_else(|| bad(format!("'{key}' is not a number")))
+}
+
+fn array<'a>(obj: &'a Json, key: &str) -> Result<&'a [Json], JsonError> {
+    member(obj, key)?
+        .as_arr()
+        .ok_or_else(|| bad(format!("'{key}' is not an array")))
 }
 
 /// Pick the counter that best explains a CUDA-vs-OpenCL performance gap:
@@ -471,19 +373,12 @@ mod tests {
                 status: RUN_OK.to_string(),
                 fault: None,
                 attempts: 1,
-                input_hash: "00f1e2d3c4b5a697".into(),
-                cached: true,
             }],
             prs: vec![PrEntry {
                 bench: "BFS".into(),
                 device: "GTX280".into(),
                 pr: 0.63,
                 dominant_counter: "launch_overhead_ns".into(),
-            }],
-            sim_speed: vec![SimSpeed {
-                bench: "BFS".into(),
-                interp_ns: 9_000_000,
-                decoded_ns: 3_000_000,
             }],
         };
         let parsed = BenchReport::from_text(&report.to_text()).unwrap();
@@ -499,59 +394,30 @@ mod tests {
         let pr = parsed.pr("BFS", "GTX280").unwrap();
         assert_eq!(pr.pr, 0.63);
         assert_eq!(pr.dominant_counter, "launch_overhead_ns");
-        assert_eq!(run.input_hash, "00f1e2d3c4b5a697");
-        assert!(run.cached);
-        assert_eq!(parsed.cache_hits(), 1);
-        assert_eq!(parsed.sim_speed.len(), 1);
-        assert_eq!(parsed.sim_speed[0].bench, "BFS");
-        assert_eq!(parsed.sim_speed[0].interp_ns, 9_000_000);
-        assert_eq!(parsed.sim_speed[0].decoded_ns, 3_000_000);
-        assert!((parsed.sim_speed[0].decoded_speedup() - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn v4_reports_with_a_fused_column_still_parse() {
-        let text = r#"{"schema":4,"scale":"quick","fault_seed":null,
-            "runs":[],"prs":[],
-            "sim_speed":[{"bench":"MxM","interp_ns":9000000,
-                          "decoded_ns":6000000,"fused_ns":3000000}]}"#;
-        let parsed = BenchReport::from_text(text).unwrap();
-        assert_eq!(parsed.sim_speed.len(), 1);
-        assert_eq!(parsed.sim_speed[0].bench, "MxM");
-        assert_eq!(parsed.sim_speed[0].interp_ns, 9_000_000);
-        assert_eq!(parsed.sim_speed[0].decoded_ns, 6_000_000);
-        // Written back, the report carries no fused column.
-        assert!(!parsed.to_text().contains("fused_ns"));
-    }
-
-    #[test]
-    fn pre_v4_reports_parse_with_empty_sim_speed() {
-        let text = r#"{"schema":3,"scale":"quick","fault_seed":null,
-            "runs":[],"prs":[]}"#;
-        let parsed = BenchReport::from_text(text).unwrap();
-        assert!(parsed.sim_speed.is_empty());
+        // Written back, the parsed report is the same text.
+        assert_eq!(parsed.to_text(), report.to_text());
     }
 
     #[test]
     fn wrong_schema_is_rejected() {
         assert!(BenchReport::from_text("{\"schema\":99,\"runs\":[],\"prs\":[]}").is_err());
         assert!(BenchReport::from_text("not json").is_err());
-    }
-
-    #[test]
-    fn pre_v3_reports_parse_with_empty_cache_fields() {
-        let text = r#"{"schema":2,"scale":"quick","fault_seed":null,
-            "runs":[{"bench":"MxM","device":"GTX480","api":"CUDA",
-                     "value":1.5,"unit":"GFlops/s","verified":true,
-                     "wall_ns":1e6,"kernel_ns":9e5,"launches":1,
-                     "sim_cycles":1e5,"status":"ok","fault":null,
-                     "attempts":1,"counters":{}}],
-            "prs":[]}"#;
-        let parsed = BenchReport::from_text(text).unwrap();
-        let run = parsed.run("MxM", "GTX480", "CUDA").unwrap();
-        assert_eq!(run.input_hash, "");
-        assert!(!run.cached);
-        assert_eq!(parsed.cache_hits(), 0);
+        // Only the current schema parses, and only with every field.
+        let doc = |schema: i64, attempts: &str| {
+            format!(
+                r#"{{"schema":{schema},"scale":"quick","fault_seed":null,
+                "runs":[{{"bench":"MxM","device":"GTX480","api":"CUDA",
+                         "value":1.5,"unit":"GFlops/s","verified":true,
+                         "wall_ns":1e6,"kernel_ns":9e5,"launches":1,
+                         "sim_cycles":1e5,"status":"ok","fault":null,
+                         {attempts}"counters":{{}}}}],
+                "prs":[]}}"#
+            )
+        };
+        assert!(BenchReport::from_text(&doc(SCHEMA_VERSION, r#""attempts":1,"#)).is_ok());
+        assert!(BenchReport::from_text(&doc(SCHEMA_VERSION - 1, r#""attempts":1,"#)).is_err());
+        let err = BenchReport::from_text(&doc(SCHEMA_VERSION, "")).unwrap_err();
+        assert!(err.msg.contains("'attempts'"), "{}", err.msg);
     }
 
     #[test]

@@ -33,37 +33,19 @@ fn emit_bench_artifacts(scale: Scale) {
     // `GPUCMP_FAULT_SEED=<n>` turns this into a seeded fault-injection
     // campaign (with `GPUCMP_FAULT_ATTEMPTS=1` the injected faults are
     // unrecoverable and the report comes out partial); unset, it is the
-    // ordinary fault-free campaign. `GPUCMP_CACHE_FROM=<BENCH_*.json>`
-    // reuses unchanged cells from a previous report, and
-    // `GPUCMP_SHARD=i/n` runs one slice of the matrix.
+    // ordinary fault-free campaign.
     let opts = bench_report::CampaignOptions::from_env(scale);
     let report = bench_report::bench_report_with(&opts);
     let bench_path = format!("BENCH_{stamp}.json");
     std::fs::write(&bench_path, report.to_text()).expect("write bench report");
     let verified = report.runs.iter().filter(|r| r.verified).count();
     println!(
-        "Bench report: {} runs ({} verified, {} cached), {} PR pairs -> {}",
+        "Bench report: {} runs ({} verified), {} PR pairs -> {}",
         report.runs.len(),
         verified,
-        report.cache_hits(),
         report.prs.len(),
         bench_path
     );
-    if opts.cache_from.is_some() {
-        println!(
-            "Incremental campaign: {} of {} cells served from cache, {} re-executed",
-            report.cache_hits(),
-            report.runs.len(),
-            report.runs.len() - report.cache_hits()
-        );
-    }
-    if let Some((shard, shards)) = opts.shard {
-        println!(
-            "Shard {shard}/{shards}: {} matrix cells ran here; merge the \
-             shard reports before gating",
-            report.runs.len()
-        );
-    }
     if let Some(seed) = opts.fault_seed {
         let skipped: Vec<_> = report.runs.iter().filter(|r| !r.is_ok()).collect();
         println!(
