@@ -192,24 +192,22 @@ pub fn fold_stmts(stmts: &[Stmt], level: FoldLevel) -> Vec<Stmt> {
 }
 
 /// Evaluate one integer binary op; `None` for division by zero (left as a
-/// runtime trap) or shift overflow.
+/// runtime trap), shift overflow, or a signedness-sensitive op whose
+/// reading depends on the type lowering gives it.
 fn fold_int(op: Op2, x: i64, y: i64) -> Option<i64> {
+    // S32 and U32 divide, take remainders, compare and shift right
+    // differently once a value is negative (or 32-bit-truncating), and the
+    // op's type is unknown here: fold only where every reading agrees and
+    // leave the rest to the runtime op.
+    let agnostic = |v: i64| (0..=i32::MAX as i64).contains(&v);
     Some(match op {
         Op2::Add => x.wrapping_add(y),
         Op2::Sub => x.wrapping_sub(y),
         Op2::Mul => x.wrapping_mul(y),
-        Op2::Div => {
-            if y == 0 {
-                return None;
-            }
-            x.wrapping_div(y)
-        }
-        Op2::Rem => {
-            if y == 0 {
-                return None;
-            }
-            x.wrapping_rem(y)
-        }
+        Op2::Div | Op2::Rem | Op2::Min | Op2::Max if !(agnostic(x) && agnostic(y)) => return None,
+        Op2::Div | Op2::Rem if y == 0 => return None,
+        Op2::Div => x / y,
+        Op2::Rem => x % y,
         Op2::Min => x.min(y),
         Op2::Max => x.max(y),
         Op2::And => x & y,
@@ -222,14 +220,7 @@ fn fold_int(op: Op2, x: i64, y: i64) -> Option<i64> {
             x.wrapping_shl(y as u32)
         }
         Op2::Shr => {
-            if !(0..64).contains(&y) {
-                return None;
-            }
-            // Only fold where every runtime reading agrees: for negative
-            // (or 32-bit-truncating) values, S32 shifts arithmetically and
-            // U32 logically, and the result type is unknown here — leave
-            // those to the runtime op.
-            if !(0..=i32::MAX as i64).contains(&x) {
+            if !(0..64).contains(&y) || !agnostic(x) {
                 return None;
             }
             x >> y
@@ -358,6 +349,24 @@ mod tests {
         // semantics: folds.
         let e = Expr::Bin(Op2::Shr, Box::new(Expr::ImmI(40)), Box::new(Expr::ImmI(3)));
         assert_eq!(fold_expr(&e, FoldLevel::Aggressive), Expr::ImmI(5));
+    }
+
+    #[test]
+    fn signedness_sensitive_ops_fold_only_on_non_negative_operands() {
+        // max(-8, 5) is 5 as S32 but 0xFFFFFFF8 as U32, and div(-7, 2) is
+        // -3 as S32 but 0x7FFFFFFC as U32: both stay runtime ops.
+        let imm = |v: i64| Box::new(Expr::ImmI(v));
+        for level in [FoldLevel::Basic, FoldLevel::Aggressive] {
+            for e in [
+                Expr::Bin(Op2::Max, imm(-8), imm(5)),
+                Expr::Bin(Op2::Div, imm(-7), imm(2)),
+            ] {
+                assert!(matches!(fold_expr(&e, level), Expr::Bin(..)), "{e:?}");
+            }
+            // Every reading agrees on div(7, 2): folds.
+            let e = Expr::Bin(Op2::Div, imm(7), imm(2));
+            assert_eq!(fold_expr(&e, level), Expr::ImmI(3));
+        }
     }
 
     #[test]

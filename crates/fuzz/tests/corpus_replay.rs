@@ -15,7 +15,7 @@ fn corpus_dir() -> PathBuf {
 fn every_corpus_case_replays_clean() {
     let files = corpus_files(&corpus_dir());
     assert!(
-        files.len() >= 11,
+        files.len() >= 12,
         "corpus shrank to {} file(s) — the hand-written edge cases are missing",
         files.len()
     );
@@ -55,6 +55,7 @@ fn corpus_cases_have_their_documented_outcomes() {
         ("atomic-histogram.kdsl", |o| o.is_ok()),
         ("downward-unroll.kdsl", |o| o.is_ok()),
         ("select-shr-signed.kdsl", |o| o.is_ok()),
+        ("fold-max-unsigned.kdsl", |o| o.is_ok()),
         ("nan-sign-lane.kdsl", |o| o.is_ok()),
         ("nan-sign-warp-width.kdsl", |o| o.is_ok()),
         ("nan-fma-lanes.kdsl", |o| o.is_ok()),
@@ -94,6 +95,13 @@ fn corpus_reference_values_are_right() {
     let snap = oracle.reference_snapshot(&case).unwrap();
     let words = as_i32(&snap.mems[0]);
     assert!(words.iter().all(|&w| w == 111), "{words:?}");
+
+    // fold-max-unsigned: max runs at the atomic's u32 type, so word 1
+    // gains 0xFFFFFFF8 (a signed max would add 0).
+    let case = load("fold-max-unsigned.kdsl");
+    let snap = oracle.reference_snapshot(&case).unwrap();
+    let initial = as_i32(&case.bufs[1].data());
+    assert_eq!(as_i32(&snap.mems[1])[1], initial[1].wrapping_add(-8));
 
     // atomic-histogram: 64 threads over 4 bins — 16 increments each on
     // top of the seeded initial contents.
