@@ -652,24 +652,14 @@ pub fn fig8_sobel_constant(scale: Scale) -> Fig8 {
         .iter()
         .map(|dev_name| {
             let device = DeviceSpec::by_name(dev_name).unwrap();
-            let with_c = run(
-                Api::Cuda,
-                &Sobel::new(scale).with_const_filter(true),
-                &device,
-            )
-            .unwrap()
-            .value;
-            let without = run(
-                Api::Cuda,
-                &Sobel::new(scale).with_const_filter(false),
-                &device,
-            )
-            .unwrap()
-            .value;
+            let kernel_s = |with_const| {
+                let bench = Sobel::new(scale).with_const_filter(with_const);
+                run(Api::Cuda, &bench, &device).unwrap().value
+            };
             SobelRow {
                 device: device.name,
-                with_const_s: with_c,
-                without_const_s: without,
+                with_const_s: kernel_s(true),
+                without_const_s: kernel_s(false),
             }
         })
         .collect();

@@ -256,8 +256,9 @@ fn member<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, JsonError> {
 }
 
 fn string(obj: &Json, key: &str) -> Result<String, JsonError> {
-    let v = member(obj, key)?.as_str();
-    v.map(str::to_string)
+    member(obj, key)?
+        .as_str()
+        .map(str::to_string)
         .ok_or_else(|| bad(format!("'{key}' is not a string")))
 }
 
