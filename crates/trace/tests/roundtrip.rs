@@ -4,10 +4,13 @@
 //! with the Trace Event Format structure Perfetto expects.
 
 use gpucmp_benchmarks::common::{Benchmark, Scale};
+use gpucmp_benchmarks::mxm::MxM;
 use gpucmp_benchmarks::sobel::Sobel;
+use gpucmp_compiler::{global_id_x, DslKernel, KernelDef};
+use gpucmp_ptx::Ty;
 use gpucmp_runtime::{Cuda, Gpu, GpuExt, SessionEvent};
-use gpucmp_sim::DeviceSpec;
-use gpucmp_trace::{chrome_trace, parse, Json};
+use gpucmp_sim::{DevPtr, DeviceSpec, LaunchConfig};
+use gpucmp_trace::{chrome_trace, chrome_trace_multi, parse, Json};
 
 fn traced_session() -> (DeviceSpec, Vec<SessionEvent>) {
     let device = DeviceSpec::gtx480();
@@ -118,28 +121,100 @@ fn chrome_trace_round_trips_through_text() {
     }
 }
 
-#[test]
-fn memcheck_faults_export_as_instant_events_on_cu_tracks() {
-    use gpucmp_compiler::{global_id_x, DslKernel};
-    use gpucmp_ptx::Ty;
-    use gpucmp_sim::LaunchConfig;
-
-    // An unguarded store driven past its allocation under memcheck: the
-    // launch completes, the faults land in the trace stream.
-    let device = DeviceSpec::gtx480();
-    let mut gpu = Cuda::new(device.clone()).expect("NVIDIA device");
-    gpu.set_tracing(true);
-    gpu.set_memcheck(true);
+/// `out[gid] = 1.0` with no bounds guard.
+fn unguarded_fill() -> KernelDef {
     let mut k = DslKernel::new("unguarded_fill");
     let out = k.param_ptr("out");
     let gid = k.let_(Ty::S32, global_id_x());
     k.st_global(out.clone(), gid, Ty::F32, 1.0f32);
-    let h = gpu.build(&k.finish()).unwrap();
+    k.finish()
+}
+
+/// An unguarded store driven past its allocation under memcheck: the
+/// launch completes, the faults land in the trace stream.
+fn memcheck_fill_trace() -> Vec<SessionEvent> {
+    let mut gpu = Cuda::new(DeviceSpec::gtx480()).expect("NVIDIA device");
+    gpu.set_tracing(true);
+    gpu.set_memcheck(true);
+    let h = gpu.build(&unguarded_fill()).unwrap();
     let buf = gpu.malloc(32 * 4).unwrap();
     gpu.launch(h, LaunchConfig::new(1u32, 64u32).arg_ptr(buf))
         .unwrap();
+    gpu.trace_events().to_vec()
+}
 
-    let doc = chrome_trace(&device, gpu.trace_events());
+/// A two-stream MxM run: every transfer and launch rides an explicit
+/// stream.
+fn two_stream_mxm_trace() -> Vec<SessionEvent> {
+    let mut gpu = Cuda::new(DeviceSpec::gtx480()).expect("NVIDIA device");
+    gpu.set_tracing(true);
+    MxM::new(Scale::Paper)
+        .with_streams(true)
+        .run(&mut gpu)
+        .expect("MxM run");
+    gpu.trace_events().to_vec()
+}
+
+/// The Sobel session exported twice, as two tenants' sessions.
+fn multi_session_doc(device: &DeviceSpec, events: Vec<SessionEvent>) -> Json {
+    let streams = vec![
+        ("acme / session 1".to_string(), events.clone()),
+        ("umbrella / session 2".to_string(), events),
+    ];
+    chrome_trace_multi(device, &streams)
+}
+
+/// An upload and a clean launch, then a launch that aborts on a sticky
+/// fault: its store runs off the end of the device.
+fn sticky_fault_trace() -> Vec<SessionEvent> {
+    let mut gpu = Cuda::new(DeviceSpec::gtx480()).expect("NVIDIA device");
+    gpu.set_tracing(true);
+    let h = gpu.build(&unguarded_fill()).unwrap();
+    let buf = gpu.alloc::<f32>(64).unwrap();
+    gpu.h2d_buf(&buf, &[0.5f32; 64]).unwrap();
+    gpu.launch(h, LaunchConfig::new(1u32, 64u32).arg_ptr(buf))
+        .unwrap();
+    let end = DevPtr(gpu.session().gmem.capacity() - 4);
+    let err = gpu
+        .launch(h, LaunchConfig::new(1u32, 64u32).arg_ptr(end))
+        .unwrap_err();
+    assert!(err.is_sticky(), "{err}");
+    let events = gpu.trace_events().to_vec();
+    assert!(matches!(events.last(), Some(SessionEvent::Fault { .. })));
+    events
+}
+
+/// FNV-1a 64 over the chrome-trace text of, in order: the Sobel session,
+/// the memcheck fill, the two-stream MxM, the multi-session export and
+/// the sticky-fault session.
+const TRACE_FNV: u64 = 0x2c7d_a333_3d0c_1a29;
+
+#[test]
+fn trace_bytes_are_pinned() {
+    let (device, sobel) = traced_session();
+    let text: String = [
+        chrome_trace(&device, &sobel),
+        chrome_trace(&device, &memcheck_fill_trace()),
+        chrome_trace(&device, &two_stream_mxm_trace()),
+        multi_session_doc(&device, sobel),
+        chrome_trace(&device, &sticky_fault_trace()),
+    ]
+    .iter()
+    .map(Json::to_text)
+    .collect();
+    let digest = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(
+        digest, TRACE_FNV,
+        "the chrome traces now hash to {digest:#018x}"
+    );
+}
+
+#[test]
+fn memcheck_faults_export_as_instant_events_on_cu_tracks() {
+    let device = DeviceSpec::gtx480();
+    let doc = chrome_trace(&device, &memcheck_fill_trace());
     let parsed = parse(&doc.to_text()).expect("valid JSON");
     let tev = parsed.get("traceEvents").and_then(Json::as_arr).unwrap();
     let faults: Vec<_> = tev
@@ -176,20 +251,10 @@ fn memcheck_faults_export_as_instant_events_on_cu_tracks() {
 
 #[test]
 fn explicit_streams_get_their_own_tracks_with_visible_overlap() {
-    use gpucmp_benchmarks::mxm::MxM;
-
-    // A two-stream MxM run: every transfer and launch rides an explicit
-    // stream, so the trace must carry "Stream N" tracks instead of the
-    // per-engine ones.
+    // Every op rides an explicit stream, so the trace must carry
+    // "Stream N" tracks instead of the per-engine ones.
     let device = DeviceSpec::gtx480();
-    let mut gpu = Cuda::new(device.clone()).expect("NVIDIA device");
-    gpu.set_tracing(true);
-    MxM::new(Scale::Paper)
-        .with_streams(true)
-        .run(&mut gpu)
-        .expect("MxM run");
-
-    let doc = chrome_trace(&device, gpu.trace_events());
+    let doc = chrome_trace(&device, &two_stream_mxm_trace());
     let parsed = parse(&doc.to_text()).expect("valid JSON");
     let tev = parsed.get("traceEvents").and_then(Json::as_arr).unwrap();
 
@@ -278,13 +343,8 @@ fn untraced_sessions_record_nothing() {
 
 #[test]
 fn multi_stream_export_gets_one_process_per_session() {
-    use gpucmp_trace::chrome_trace_multi;
     let (device, events) = traced_session();
-    let streams = vec![
-        ("acme / session 1".to_string(), events.clone()),
-        ("umbrella / session 2".to_string(), events),
-    ];
-    let doc = chrome_trace_multi(&device, &streams);
+    let doc = multi_session_doc(&device, events);
     let parsed = parse(&doc.to_text()).expect("multi trace must be valid JSON");
     let tev = parsed
         .get("traceEvents")
