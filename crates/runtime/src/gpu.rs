@@ -11,7 +11,7 @@
 use crate::buffer::{Buffer, DeviceScalar};
 use crate::error::RtError;
 use crate::inject::{FaultPlan, LaunchAction, TransferAction};
-use crate::stream::{Event, PendingOp, PendingPayload, ResetReport, Stream, StreamState};
+use crate::stream::{Event, PendingOp, ResetReport, Stream, StreamState};
 use gpucmp_compiler::{compile_with_style, Api, KernelDef};
 use gpucmp_ptx::{kernel_hash, ResolvedKernel};
 use gpucmp_sim::launch::Dim3;
@@ -145,6 +145,23 @@ pub enum SessionEvent {
         /// Stream the faulting launch ran on (0 = default stream).
         stream: u32,
     },
+}
+
+impl SessionEvent {
+    /// Stamp a record built at enqueue with its op's placement on the
+    /// timeline. Until then a fault's `t_ns` holds its offset into the op.
+    fn place(&mut self, start: f64, end: f64) {
+        match self {
+            SessionEvent::Launch { start_ns, .. } => *start_ns = start,
+            SessionEvent::Transfer {
+                start_ns, dur_ns, ..
+            } => {
+                *start_ns = start;
+                *dur_ns = end - start;
+            }
+            SessionEvent::Fault { t_ns, .. } => *t_ns += start,
+        }
+    }
 }
 
 /// Build the trace event for one device fault.
@@ -471,13 +488,14 @@ impl Session {
     }
 
     /// Enqueue one op on `stream`: assign its per-stream sequence number,
-    /// absorb any recorded cross-stream waits, and defer its timing.
+    /// absorb any recorded cross-stream waits, and defer its timing and
+    /// its trace `events`.
     fn enqueue_op(
         &mut self,
         stream: Stream,
         resource: TimelineResource,
         dur_ns: f64,
-        payload: PendingPayload,
+        events: Vec<SessionEvent>,
     ) -> Result<Event, RtError> {
         let ready_ns = self.now_ns;
         let st = self.stream_state_mut(stream)?;
@@ -493,9 +511,34 @@ impl Session {
                 ready_ns,
                 deps,
             },
-            payload,
+            events,
         });
         Ok(Event::new(stream.id(), seq))
+    }
+
+    /// Enqueue a PCIe copy of `bytes` on `dir`'s DMA engine.
+    fn enqueue_transfer(
+        &mut self,
+        stream: Stream,
+        dir: TransferDir,
+        bytes: u64,
+    ) -> Result<Event, RtError> {
+        let resource = match dir {
+            TransferDir::H2D => TimelineResource::H2dEngine,
+            TransferDir::D2H => TimelineResource::D2hEngine,
+        };
+        let mut events = Vec::new();
+        if self.tracing() {
+            events.push(SessionEvent::Transfer {
+                dir,
+                start_ns: 0.0,
+                dur_ns: 0.0,
+                bytes,
+                stream: stream.id(),
+            });
+        }
+        let dur = MEMCPY_LATENCY_NS + bytes as f64 / PCIE_GBS;
+        self.enqueue_op(stream, resource, dur, events)
     }
 
     /// Make all *future* work enqueued on `stream` wait until the op
@@ -517,65 +560,30 @@ impl Session {
     }
 
     /// Commit every pending op to the timeline: the deterministic scheduler
-    /// places them per engine, and the placements become trace events. The
-    /// host clock does not move — only synchronisation advances it.
+    /// places them per engine, and the placements stamp their trace events.
+    /// The host clock does not move — only synchronisation advances it.
     fn commit_pending(&mut self) {
         if self.pending.is_empty() {
             return;
         }
-        let pending = std::mem::take(&mut self.pending);
-        let ops: Vec<TimelineOp> = pending.iter().map(|p| p.op.clone()).collect();
-        let mut payloads: BTreeMap<(u32, u64), PendingPayload> = pending
-            .into_iter()
-            .map(|p| ((p.op.stream, p.op.seq), p.payload))
+        let (ops, events): (Vec<TimelineOp>, Vec<Vec<SessionEvent>>) =
+            std::mem::take(&mut self.pending)
+                .into_iter()
+                .map(|p| (p.op, p.events))
+                .unzip();
+        let mut events: BTreeMap<(u32, u64), Vec<SessionEvent>> = ops
+            .iter()
+            .map(|o| (o.stream, o.seq))
+            .zip(events)
+            .filter(|(_, e)| !e.is_empty())
             .collect();
         for placed in self.timeline.schedule(&ops) {
-            let payload = payloads
+            for mut e in events
                 .remove(&(placed.stream, placed.seq))
-                .expect("every scheduled op has a payload");
-            if self.trace.is_none() {
-                continue;
-            }
-            match payload {
-                PendingPayload::Transfer { dir, bytes } => {
-                    self.record(SessionEvent::Transfer {
-                        dir,
-                        start_ns: placed.start_ns,
-                        dur_ns: placed.end_ns - placed.start_ns,
-                        bytes,
-                        stream: placed.stream,
-                    });
-                }
-                PendingPayload::Launch {
-                    kernel,
-                    overhead_ns,
-                    kernel_ns,
-                    grid,
-                    block,
-                    stats,
-                    timing,
-                    faults,
-                    cus,
-                } => {
-                    // Memcheck records pin to kernel start, before the
-                    // launch slice itself (matching the synchronous order).
-                    let t = placed.start_ns + overhead_ns;
-                    for f in &faults {
-                        let ev = fault_event(&kernel, t, f, grid, cus, placed.stream);
-                        self.record(ev);
-                    }
-                    self.record(SessionEvent::Launch {
-                        kernel,
-                        start_ns: placed.start_ns,
-                        overhead_ns,
-                        kernel_ns,
-                        grid,
-                        block,
-                        stats: *stats,
-                        timing,
-                        stream: placed.stream,
-                    });
-                }
+                .unwrap_or_default()
+            {
+                e.place(placed.start_ns, placed.end_ns);
+                self.record(e);
             }
         }
     }
@@ -767,16 +775,7 @@ pub trait Gpu {
             }
             _ => s.gmem.copy_in(ptr, data)?,
         }
-        let dur = MEMCPY_LATENCY_NS + data.len() as f64 / PCIE_GBS;
-        s.enqueue_op(
-            stream,
-            TimelineResource::H2dEngine,
-            dur,
-            PendingPayload::Transfer {
-                dir: TransferDir::H2D,
-                bytes: data.len() as u64,
-            },
-        )
+        s.enqueue_transfer(stream, TransferDir::H2D, data.len() as u64)
     }
 
     /// Host-to-device transfer of raw bytes — sugar over the default
@@ -808,16 +807,7 @@ pub trait Gpu {
         }
         let mut data = vec![0u8; bytes as usize];
         s.gmem.copy_out(ptr, &mut data)?;
-        let dur = MEMCPY_LATENCY_NS + bytes as f64 / PCIE_GBS;
-        let ev = s.enqueue_op(
-            stream,
-            TimelineResource::D2hEngine,
-            dur,
-            PendingPayload::Transfer {
-                dir: TransferDir::D2H,
-                bytes,
-            },
-        )?;
+        let ev = s.enqueue_transfer(stream, TransferDir::D2H, bytes)?;
         s.stage_readback(ev, data);
         Ok(ev)
     }
@@ -1046,28 +1036,34 @@ pub trait Gpu {
         s.launches += 1;
         s.kernel_ns_total += report.timing.total_ns;
         s.profile_total.accumulate(&report.profile);
-        // Memcheck-suppressed faults ride in the payload; they are pinned
-        // to the scheduled kernel start when the op commits.
-        let faults = if s.tracing() && !report.faults.is_empty() {
-            report.faults.clone()
-        } else {
-            Vec::new()
-        };
-        let ev = s.enqueue_op(
-            stream,
-            TimelineResource::Compute,
-            overhead + report.timing.total_ns,
-            PendingPayload::Launch {
+        // Memcheck records pin to kernel start, before the launch slice
+        // itself; the op's placement stamps them at commit.
+        let mut events = Vec::new();
+        if s.tracing() {
+            let cus = s.device.compute_units;
+            events.extend(
+                report
+                    .faults
+                    .iter()
+                    .map(|f| fault_event(&name, overhead, f, cfg.grid, cus, stream.id())),
+            );
+            events.push(SessionEvent::Launch {
                 kernel: name,
+                start_ns: 0.0,
                 overhead_ns: overhead,
                 kernel_ns: report.timing.total_ns,
                 grid: cfg.grid,
                 block: cfg.block,
-                stats: Box::new(report.stats.clone()),
+                stats: report.stats.clone(),
                 timing: report.timing,
-                faults,
-                cus: s.device.compute_units,
-            },
+                stream: stream.id(),
+            });
+        }
+        let ev = s.enqueue_op(
+            stream,
+            TimelineResource::Compute,
+            overhead + report.timing.total_ns,
+            events,
         )?;
         Ok((
             ev,

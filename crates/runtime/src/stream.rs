@@ -27,10 +27,8 @@
 
 use std::fmt;
 
-use crate::gpu::TransferDir;
-use gpucmp_sim::launch::Dim3;
-use gpucmp_sim::timing::{TimelineOp, Timing};
-use gpucmp_sim::{DeviceFault, ExecStats};
+use crate::gpu::SessionEvent;
+use gpucmp_sim::timing::TimelineOp;
 
 /// Handle to a stream of a session.
 ///
@@ -147,33 +145,13 @@ pub(crate) struct StreamState {
     pub error: Option<String>,
 }
 
-/// Deferred bookkeeping of one enqueued op: everything needed to emit its
-/// trace events once the scheduler has placed it on the timeline.
-#[derive(Clone, Debug)]
-pub(crate) enum PendingPayload {
-    /// A PCIe transfer (bytes already moved eagerly).
-    Transfer { dir: TransferDir, bytes: u64 },
-    /// A kernel launch (simulated eagerly; timing committed lazily).
-    Launch {
-        kernel: String,
-        overhead_ns: f64,
-        kernel_ns: f64,
-        grid: Dim3,
-        block: Dim3,
-        stats: Box<ExecStats>,
-        timing: Timing,
-        /// Memcheck-suppressed faults to pin at kernel start.
-        faults: Vec<DeviceFault>,
-        /// CU count for fault siting.
-        cus: u32,
-    },
-}
-
 /// One enqueued-but-uncommitted op.
 #[derive(Clone, Debug)]
 pub(crate) struct PendingOp {
     pub op: TimelineOp,
-    pub payload: PendingPayload,
+    /// The trace records the op emits once the scheduler has placed it
+    /// (see `SessionEvent::place`); empty when tracing was off at enqueue.
+    pub events: Vec<SessionEvent>,
 }
 
 #[cfg(test)]
