@@ -9,9 +9,9 @@
 //! the tier-parity contract (`crates/sim/src/dispatch.rs`); these numbers
 //! are the *reason* the tiers exist.
 //!
-//! One [`Cuda`] session per (benchmark, tier): rep 1 pays the decode (the
-//! session code cache is cold), later reps hit the cache, and the
-//! min-of-reps damps scheduler noise. Serial simulation (1 worker) keeps
+//! One [`Cuda`] session per (benchmark, tier); each rep builds its kernels
+//! afresh, and their decode falls outside the timed execution and merge.
+//! The min-of-reps damps scheduler noise. Serial simulation (1 worker) keeps
 //! the measurement about the dispatch loop, not the block scheduler.
 
 use crate::bench_report::all_benchmarks;

@@ -4,9 +4,8 @@
 //! [`Kernel`] — name, parameters, register declarations, instruction stream
 //! (including immediates, bit-exact for floats), and the shared/local/
 //! physical-register footprint. Two kernels hash equal iff they are
-//! structurally identical, so the digest is a sound key for the simulator's
-//! per-session code cache: a campaign that builds the same kernel twice
-//! decodes it once.
+//! structurally identical, so one digest stands for a compiled kernel
+//! wherever compiled output is compared or pinned.
 //!
 //! The hash is hand-rolled rather than derived from a serialized form:
 //! text encodings are not stable for floats (`NaN`, `-0.0`, shortest-repr

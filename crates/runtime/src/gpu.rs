@@ -13,7 +13,7 @@ use crate::error::RtError;
 use crate::inject::{FaultPlan, LaunchAction, TransferAction};
 use crate::stream::{Event, PendingOp, ResetReport, Stream, StreamState};
 use gpucmp_compiler::{compile_with_style, Api, KernelDef};
-use gpucmp_ptx::{kernel_hash, ResolvedKernel};
+use gpucmp_ptx::ResolvedKernel;
 use gpucmp_sim::launch::Dim3;
 use gpucmp_sim::timing::{TimelineOp, TimelineResource, TimelineState, Timing};
 use gpucmp_sim::{
@@ -21,7 +21,7 @@ use gpucmp_sim::{
     DeviceSpec, ExecOptions, ExecProfile, ExecStats, ExecTier, GlobalMemory, LaunchConfig,
     LaunchReport,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// PCIe effective host↔device bandwidth in GB/s (PCIe 2.0 x16 era).
@@ -49,9 +49,9 @@ pub struct LoadedKernel {
     pub ptx_stats: gpucmp_ptx::InstStats,
     /// Registers the backend had to spill against the device cap.
     pub spilled: u32,
-    /// Stable content hash of the executable form — the key into the
-    /// session's pre-decoded code cache.
-    pub code_hash: u64,
+    /// The pre-decoded dispatch IR, made by the first launch on the
+    /// decoded tier and kept until [`Session::reset`].
+    decoded: Option<Arc<DecodedKernel>>,
 }
 
 impl LoadedKernel {
@@ -223,16 +223,8 @@ pub struct Session {
     streams: Vec<StreamState>,
     /// Staged d2h payloads keyed by the enqueuing event.
     readbacks: BTreeMap<(u32, u64), Vec<u8>>,
-    /// Pre-decoded dispatch IR by kernel content hash: each distinct kernel
-    /// is decoded at most once per context generation, however many times
-    /// it is rebuilt or launched. [`Session::reset`] evicts the cache
-    /// wholesale: a reset draws a hard line (as `cudaDeviceReset` does), so
-    /// a poisoned-then-recycled session starts from nothing — no decoded
-    /// code outlives the context that built it, and a pooled server slot
-    /// cannot accumulate kernels across the tenants it serves.
-    code_cache: HashMap<u64, Arc<DecodedKernel>>,
-    /// Number of kernel decodes performed (cache misses) — observability
-    /// for tests and reports. Cumulative across resets.
+    /// Number of kernel decodes performed — observability for tests and
+    /// reports. Cumulative across resets.
     decode_count: u64,
     /// Number of times [`Session::reset`] ran — lifecycle accounting for
     /// pooled-slot recycling.
@@ -278,7 +270,6 @@ impl Session {
             pending: Vec::new(),
             streams: vec![StreamState::default()],
             readbacks: BTreeMap::new(),
-            code_cache: HashMap::new(),
             decode_count: 0,
             resets: 0,
             inst_budget_cap: None,
@@ -326,12 +317,12 @@ impl Session {
     /// completed-but-untaken readbacks — so callers can tell a clean reset
     /// from one that discarded in-flight work.
     ///
-    /// The pre-decoded code cache is evicted with everything else
-    /// (`evicted_kernels` in the report): a reset returns the session to
-    /// its just-created state so a recycled server slot carries nothing —
-    /// not even decoded code — from one tenant to the next. Rebuilding a
-    /// kernel after a reset therefore decodes it again
-    /// ([`Session::decode_count`] keeps counting cumulatively).
+    /// Decoded code goes with the kernels that hold it (`evicted_kernels`
+    /// in the report): a reset returns the session to its just-created
+    /// state so a recycled server slot carries nothing — not even decoded
+    /// code — from one tenant to the next. Rebuilding a kernel after a
+    /// reset therefore decodes it again ([`Session::decode_count`] keeps
+    /// counting cumulatively).
     pub fn reset(&mut self) -> ResetReport {
         let mut cancelled_by_stream: Vec<(u32, usize)> = Vec::new();
         for p in &self.pending {
@@ -344,7 +335,7 @@ impl Session {
             cancelled_ops: self.pending.len(),
             cancelled_by_stream,
             dropped_readbacks: self.readbacks.len(),
-            evicted_kernels: self.code_cache.len(),
+            evicted_kernels: self.kernels.iter().filter(|k| k.decoded.is_some()).count(),
             fault: self.fault.clone(),
         };
         self.gmem.reset();
@@ -361,7 +352,6 @@ impl Session {
         self.pending.clear();
         self.streams = vec![StreamState::default()];
         self.readbacks.clear();
-        self.code_cache.clear();
         self.resets += 1;
         report
     }
@@ -661,17 +651,12 @@ impl Session {
         self.profile_total
     }
 
-    /// Kernel decodes performed so far (code-cache misses), cumulative
-    /// across resets. On the decoded tier this stays at one per
-    /// *distinct* kernel per context generation however many times it is
-    /// rebuilt or launched; the interp tier never decodes.
+    /// Kernel decodes performed so far, cumulative across resets. On the
+    /// decoded tier each loaded kernel is decoded once, at its first
+    /// launch, however many times it is launched; the interp tier never
+    /// decodes.
     pub fn decode_count(&self) -> u64 {
         self.decode_count
-    }
-
-    /// Distinct kernels currently held by the pre-decoded code cache.
-    pub fn code_cache_len(&self) -> usize {
-        self.code_cache.len()
     }
 
     /// Look a loaded kernel up.
@@ -916,14 +901,13 @@ pub trait Gpu {
         let mut const_bank = def.const_data.clone();
         // pad to 16 bytes like a real constant bank image
         const_bank.resize(const_bank.len().next_multiple_of(16), 0);
-        let code_hash = kernel_hash(&resolved.kernel);
         let loaded = LoadedKernel {
             name: def.name.clone(),
             resolved: Arc::new(resolved),
             const_bank: Arc::new(const_bank),
             ptx_stats: compiled.ptx_stats,
             spilled: compiled.ptxas.spilled,
-            code_hash,
+            decoded: None,
         };
         Ok(self.session_mut().load(loaded))
     }
@@ -979,27 +963,21 @@ pub trait Gpu {
         } else {
             cfg
         };
-        // cheap Arc clones decouple the kernel from the session borrow
-        let kernel = Arc::clone(&s.kernels[h.0].resolved);
-        let const_bank = Arc::clone(&s.kernels[h.0].const_bank);
-        let name = s.kernels[h.0].name.clone();
         let opts = s.exec.memcheck(s.memcheck);
-        // Decoded tiers launch through the session code cache: one decode
-        // per distinct kernel (by content hash) per context generation.
-        let code: Option<Arc<DecodedKernel>> = if opts.tier == ExecTier::Interp {
-            None
-        } else {
-            let hash = s.kernels[h.0].code_hash;
-            Some(match s.code_cache.get(&hash) {
-                Some(c) => Arc::clone(c),
-                None => {
-                    let c = Arc::new(decode_kernel(&kernel, &s.device));
-                    s.decode_count += 1;
-                    s.code_cache.insert(hash, Arc::clone(&c));
-                    c
-                }
-            })
+        let loaded = &mut s.kernels[h.0];
+        // The decoded tier decodes a kernel at its first launch; the
+        // handle keeps the decode until reset.
+        let code = match opts.tier {
+            ExecTier::Interp => None,
+            ExecTier::Decoded => Some(Arc::clone(loaded.decoded.get_or_insert_with(|| {
+                s.decode_count += 1;
+                Arc::new(decode_kernel(&loaded.resolved, &s.device))
+            }))),
         };
+        // cheap Arc clones decouple the kernel from the session borrow
+        let kernel = Arc::clone(&loaded.resolved);
+        let const_bank = Arc::clone(&loaded.const_bank);
+        let name = loaded.name.clone();
         let report = match sim_launch_with_code(
             &s.device,
             &kernel,

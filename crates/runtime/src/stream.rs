@@ -104,7 +104,7 @@ pub struct ResetReport {
     pub cancelled_by_stream: Vec<(u32, usize)>,
     /// Completed d2h payloads that were never taken by the host.
     pub dropped_readbacks: usize,
-    /// Pre-decoded kernels evicted from the session code cache.
+    /// Loaded kernels whose pre-decoded code the reset dropped.
     pub evicted_kernels: usize,
     /// The sticky fault that poisoned the context, if the reset cleared one.
     pub fault: Option<String>,

@@ -1,6 +1,7 @@
-//! The per-session pre-decoded code cache: one decode per distinct kernel,
-//! keyed by content hash, surviving rebuilds — and evicted wholesale by
-//! [`gpucmp_runtime::Session::reset`] so a recycled context starts cold.
+//! Pre-decoded code on the loaded kernel: the first launch of a handle on
+//! the decoded tier decodes it, later launches reuse the decode, and
+//! [`gpucmp_runtime::Session::reset`] drops it with the kernel so a
+//! recycled context starts cold.
 
 use gpucmp_compiler::{global_id_x, DslKernel, KernelDef};
 use gpucmp_ptx::Ty;
@@ -19,7 +20,7 @@ fn fill_kernel(name: &str, value: f32) -> KernelDef {
 }
 
 #[test]
-fn one_decode_per_distinct_kernel_per_session() {
+fn one_decode_per_kernel_handle() {
     let mut gpu = Cuda::new(DeviceSpec::gtx480()).unwrap();
     gpu.set_exec_options(ExecOptions::serial().tier(ExecTier::Decoded));
     let buf = gpu.alloc::<f32>(256).unwrap();
@@ -31,46 +32,46 @@ fn one_decode_per_distinct_kernel_per_session() {
     }
     assert_eq!(gpu.session().decode_count(), 1, "one decode for 5 launches");
 
-    // Rebuilding the identical kernel hits the cache via the content hash.
+    // A rebuild is a new handle, so it decodes again even when its
+    // content is identical.
     let a2 = gpu.build(&fill_kernel("fill", 1.0)).unwrap();
     gpu.launch(a2, &cfg).unwrap();
-    assert_eq!(gpu.session().decode_count(), 1, "rebuild reuses the decode");
+    gpu.launch(a, &cfg).unwrap();
+    assert_eq!(gpu.session().decode_count(), 2, "a rebuild decodes again");
 
-    // A genuinely different kernel decodes once more.
     let b = gpu.build(&fill_kernel("fill2", 3.0)).unwrap();
     gpu.launch(b, &cfg).unwrap();
     gpu.launch(b, &cfg).unwrap();
-    assert_eq!(gpu.session().decode_count(), 2);
-    assert_eq!(gpu.session().code_cache_len(), 2);
+    assert_eq!(gpu.session().decode_count(), 3);
     assert_eq!(gpu.d2h_buf(&buf).unwrap(), vec![3.0f32; 256]);
 }
 
 #[test]
-fn context_reset_evicts_code_cache() {
+fn context_reset_drops_decoded_code() {
     let mut gpu = Cuda::new(DeviceSpec::gtx480()).unwrap();
     gpu.set_exec_options(ExecOptions::serial().tier(ExecTier::Decoded));
     let h = gpu.build(&fill_kernel("fill", 2.0)).unwrap();
     let buf = gpu.alloc::<f32>(64).unwrap();
     let cfg = LaunchConfig::new(1u32, 64u32).arg_ptr(buf).arg_i32(64);
     gpu.launch(h, &cfg).unwrap();
+    // Built but never launched: nothing decoded, nothing to evict.
+    gpu.build(&fill_kernel("idle", 5.0)).unwrap();
     assert_eq!(gpu.session().decode_count(), 1);
-    assert_eq!(gpu.session().code_cache_len(), 1);
 
     let report = gpu.reset();
     assert_eq!(report.evicted_kernels, 1, "reset reports the eviction");
     assert_eq!(gpu.session().resets(), 1);
-    assert_eq!(gpu.session().code_cache_len(), 0, "cache starts cold");
 
     // Same kernel content after reset must be decoded afresh: a recycled
     // (pooled) session cannot replay a stale decode from a previous
-    // context generation, even for identical content hashes.
+    // context generation.
     let h = gpu.build(&fill_kernel("fill", 2.0)).unwrap();
     let buf = gpu.alloc::<f32>(64).unwrap();
     let cfg = LaunchConfig::new(1u32, 64u32).arg_ptr(buf).arg_i32(64);
     gpu.launch(h, &cfg).unwrap();
-    assert_eq!(gpu.session().decode_count(), 2, "reset evicts the cache");
-    assert_eq!(gpu.session().code_cache_len(), 1);
+    assert_eq!(gpu.session().decode_count(), 2, "reset drops the decode");
     assert_eq!(gpu.d2h_buf(&buf).unwrap(), vec![2.0f32; 64]);
+    assert_eq!(gpu.reset().evicted_kernels, 1);
 }
 
 #[test]
@@ -82,6 +83,6 @@ fn interp_tier_never_decodes() {
     let cfg = LaunchConfig::new(1u32, 64u32).arg_ptr(buf).arg_i32(64);
     gpu.launch(h, &cfg).unwrap();
     assert_eq!(gpu.session().decode_count(), 0);
-    assert_eq!(gpu.session().code_cache_len(), 0);
     assert_eq!(gpu.d2h_buf(&buf).unwrap(), vec![4.0f32; 64]);
+    assert_eq!(gpu.reset().evicted_kernels, 0);
 }

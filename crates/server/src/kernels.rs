@@ -4,8 +4,8 @@
 //! over the wire: the registry is the server's attack-surface boundary
 //! (a tenant can only run code the operator vetted) and keeps the
 //! protocol free of compiler types. Each slot compiles a registry kernel
-//! on first use and reuses the handle — plus the session's own decoded
-//! code cache — until the slot is recycled.
+//! on first use and reuses the handle — and the decode it carries — until
+//! the slot is recycled.
 //!
 //! Two entries exist for chaos testing: `spin` burns instruction budget
 //! (a runaway tenant; trips the watchdog under a per-tenant

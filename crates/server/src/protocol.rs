@@ -208,7 +208,7 @@ pub enum Response {
     },
     /// Context reset.
     ResetDone {
-        /// Decoded kernels evicted from the session code cache.
+        /// Loaded kernels whose decoded code the reset dropped.
         evicted: u32,
         /// Whether the reset cleared a sticky fault.
         had_fault: bool,

@@ -215,10 +215,10 @@ pub(crate) struct DecodedInst {
 /// A kernel compiled to the pre-decoded dispatch IR for one device.
 ///
 /// Plain data (`Send + Sync`): one decode is shared by all block workers of
-/// a launch, and the session code cache shares one across launches via
+/// a launch, and a loaded kernel shares its decode across launches via
 /// `Arc`. Decoding is device-dependent (issue costs are baked in), which is
-/// sound for the per-session cache because a session's device never
-/// changes.
+/// sound for a kernel loaded into a session because a session's device
+/// never changes.
 #[derive(Clone, Debug)]
 pub struct DecodedKernel {
     pub(crate) body: Vec<DecodedInst>,

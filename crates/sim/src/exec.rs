@@ -244,10 +244,10 @@ fn validate_launch(
 /// global atomics run their blocks serially at any thread count.
 ///
 /// When `opts.tier` is [`ExecTier::Decoded`] and `code` is `Some`, the
-/// launch executes that pre-decoded body (the session code cache path — one
-/// decode per distinct kernel). With `code == None` the kernel is decoded
-/// here, once per launch. On [`ExecTier::Interp`] any provided `code` is
-/// ignored and the reference interpreter runs.
+/// launch executes that pre-decoded body (the runtime's path: a loaded
+/// kernel keeps its decode across launches). With `code == None` the
+/// kernel is decoded here, once per launch. On [`ExecTier::Interp`] any
+/// provided `code` is ignored and the reference interpreter runs.
 pub(crate) fn run_launch_with_code(
     device: &DeviceSpec,
     kernel: &ResolvedKernel,

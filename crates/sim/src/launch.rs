@@ -212,11 +212,11 @@ pub fn launch_with(
 
 /// [`launch_with`] with an optional pre-decoded kernel. On the decoded
 /// tier ([`ExecOptions::tier`]), passing `Some` reuses an existing
-/// [`DecodedKernel`] (e.g. from the runtime's per-session code cache)
+/// [`DecodedKernel`] (e.g. the one a runtime's loaded kernel keeps)
 /// instead of decoding on every launch; `None` decodes on the fly. The
 /// decoded kernel must come from this `kernel` and `device` — the runtime
-/// cache guarantees this by keying on the kernel's content hash within a
-/// fixed-device session.
+/// guarantees this by keeping each decode on the kernel handle it was
+/// made from, within a fixed-device session.
 #[allow(clippy::too_many_arguments)]
 pub fn launch_with_code(
     device: &DeviceSpec,

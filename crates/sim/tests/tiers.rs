@@ -213,7 +213,7 @@ fn watchdog_fires_at_the_same_instruction_on_every_tier() {
 
 #[test]
 fn precompiled_code_matches_on_the_fly_decode() {
-    // launch_with_code(Some(..)) — the session code-cache path — must be
+    // launch_with_code(Some(..)) — the runtime's path — must be
     // indistinguishable from decoding at launch.
     let device = DeviceSpec::gtx480();
     let kernel = mixed_kernel().resolve().unwrap();
