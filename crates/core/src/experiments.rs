@@ -10,23 +10,12 @@ use gpucmp_benchmarks::{fdtd::Fdtd, fft::Fft, md::Md, sobel::Sobel, spmv::Spmv};
 use gpucmp_compiler::Api;
 use gpucmp_ptx::InstStats;
 use gpucmp_runtime::{ClStatus, Cuda, FaultPlan, Gpu, GpuExt, OpenCl, RtError};
-use gpucmp_sim::{DeviceSpec, ExecOptions, ExecTier};
+use gpucmp_sim::{DeviceSpec, ExecOptions};
 use std::fmt;
 
-/// Simulation options for experiment runs, from the environment.
-///
-/// `GPUCMP_SIM_THREADS=N` simulates thread blocks on `N` host workers
-/// (`0` = one per available core). Unset or unparsable means serial.
-/// `GPUCMP_SIM_TIER={interp,decoded}` selects the execution tier
-/// (default: decoded; unknown values fall back to it). Both are purely host-side speed knobs: every
-/// reported number is bit-identical for every setting.
+/// Simulation options for experiment runs: [`ExecOptions::from_env`].
 pub fn exec_options_from_env() -> ExecOptions {
-    std::env::var("GPUCMP_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map(ExecOptions::with_threads)
-        .unwrap_or_default()
-        .tier(ExecTier::from_env())
+    ExecOptions::from_env()
 }
 
 /// Run a benchmark through `api`'s runtime on `device`, with the

@@ -187,16 +187,6 @@ fn fault_event(
     }
 }
 
-/// Whether `GPUCMP_MEMCHECK` asks for the memcheck sanitizer.
-fn memcheck_env() -> bool {
-    std::env::var("GPUCMP_MEMCHECK")
-        .map(|v| {
-            let v = v.trim();
-            !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("false")
-        })
-        .unwrap_or(false)
-}
-
 /// One device context: memory, loaded kernels, and the virtual clock.
 #[derive(Debug)]
 pub struct Session {
@@ -213,7 +203,6 @@ pub struct Session {
     trace: Option<Vec<SessionEvent>>,
     /// Display of the device fault that poisoned the context, if any.
     fault: Option<String>,
-    memcheck: bool,
     inject: Option<FaultPlan>,
     /// Per-engine device timeline (persisted across sync points).
     timeline: TimelineState,
@@ -239,9 +228,8 @@ pub struct Session {
 impl Session {
     /// Create a session on `device` with the default memory arena.
     ///
-    /// The memcheck sanitizer starts on if the `GPUCMP_MEMCHECK`
-    /// environment variable is set to anything but `0`/`false`, and the
-    /// execution tier comes from `GPUCMP_SIM_TIER` (default: decoded).
+    /// The execution options — sim threads, tier and the memcheck
+    /// sanitizer — start from the environment ([`ExecOptions::from_env`]).
     pub fn new(device: DeviceSpec) -> Self {
         Session::with_arena(device, DEFAULT_ARENA_BYTES)
     }
@@ -260,11 +248,10 @@ impl Session {
             now_ns: 0.0,
             launches: 0,
             kernel_ns_total: 0.0,
-            exec: ExecOptions::default().tier(ExecTier::from_env()),
+            exec: ExecOptions::from_env(),
             profile_total: ExecProfile::default(),
             trace: None,
             fault: None,
-            memcheck: memcheck_env(),
             inject: None,
             timeline: TimelineState::new(),
             pending: Vec::new(),
@@ -307,7 +294,7 @@ impl Session {
     /// kernels, streams and the virtual clock are discarded. Existing
     /// [`KernelHandle`]s, [`DevPtr`]s, [`Stream`]s and [`Event`]s are
     /// invalidated. Host-side knobs (exec
-    /// options, memcheck, tracing, fault plan, instruction-budget cap)
+    /// options with memcheck, tracing, fault plan, instruction-budget cap)
     /// survive; the trace buffer restarts empty.
     ///
     /// Enqueued stream work that was never committed to the timeline (for
@@ -377,16 +364,17 @@ impl Session {
         self.inst_budget_cap
     }
 
-    /// Whether the memcheck sanitizer is on for subsequent launches.
+    /// Whether the memcheck sanitizer is on for subsequent launches
+    /// ([`ExecOptions::memcheck`]).
     pub fn memcheck(&self) -> bool {
-        self.memcheck
+        self.exec.memcheck
     }
 
     /// Turn the memcheck sanitizer on or off. While on, memory-access
     /// faults are recorded per launch ([`gpucmp_sim::LaunchReport::faults`],
     /// plus [`SessionEvent::Fault`] when tracing) instead of aborting.
     pub fn set_memcheck(&mut self, on: bool) {
-        self.memcheck = on;
+        self.exec.memcheck = on;
     }
 
     /// Attach (or clear) a deterministic fault-injection plan.
@@ -418,13 +406,15 @@ impl Session {
         }
     }
 
-    /// How launches are simulated (host thread count). Purely a host-side
-    /// knob: reports are bit-identical for every setting.
+    /// How launches are simulated: host threads, execution tier and the
+    /// memcheck sanitizer. Threads and tier are host-side knobs: reports
+    /// are bit-identical for every setting.
     pub fn exec_options(&self) -> ExecOptions {
         self.exec
     }
 
-    /// Set the simulation options for subsequent launches.
+    /// Set the simulation options, memcheck included, for subsequent
+    /// launches.
     pub fn set_exec_options(&mut self, opts: ExecOptions) {
         self.exec = opts;
     }
@@ -870,13 +860,14 @@ pub trait Gpu {
         self.session_mut().set_fault_plan(plan);
     }
 
-    /// How launches on this runtime are simulated (host thread count).
+    /// How launches on this runtime are simulated
+    /// (see [`Session::exec_options`]).
     fn exec_options(&self) -> ExecOptions {
         self.session().exec_options()
     }
 
-    /// Set the simulation options for subsequent launches. Host-side only:
-    /// reports stay bit-identical for every setting.
+    /// Set the simulation options, memcheck included, for subsequent
+    /// launches (see [`Session::set_exec_options`]).
     fn set_exec_options(&mut self, opts: ExecOptions) {
         self.session_mut().set_exec_options(opts);
     }
@@ -963,7 +954,7 @@ pub trait Gpu {
         } else {
             cfg
         };
-        let opts = s.exec.memcheck(s.memcheck);
+        let opts = s.exec;
         let loaded = &mut s.kernels[h.0];
         // The decoded tier decodes a kernel at its first launch; the
         // handle keeps the decode until reset.

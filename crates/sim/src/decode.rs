@@ -15,7 +15,8 @@
 //! and executes every instruction for the whole warp at once.
 //!
 //! Execution tiers are selected with [`ExecTier`] (env var
-//! `GPUCMP_SIM_TIER={interp,decoded}`); the interpreter in [`crate::exec`]
+//! `GPUCMP_SIM_TIER={interp,decoded}`, read by
+//! [`crate::ExecOptions::from_env`]); the interpreter in [`crate::exec`]
 //! remains the reference tier.
 
 use crate::alu::float_bits;
@@ -48,15 +49,6 @@ impl ExecTier {
             "decoded" | "decode" => Some(ExecTier::Decoded),
             _ => None,
         }
-    }
-
-    /// Read `GPUCMP_SIM_TIER`; unset or unrecognised values fall back to
-    /// the default tier ([`ExecTier::Decoded`]).
-    pub fn from_env() -> ExecTier {
-        std::env::var("GPUCMP_SIM_TIER")
-            .ok()
-            .and_then(|v| ExecTier::parse(&v))
-            .unwrap_or_default()
     }
 
     /// Canonical lowercase name (the `GPUCMP_SIM_TIER` value).

@@ -96,8 +96,6 @@ pub struct ExecOptions {
     pub memcheck: bool,
     /// Which execution engine steps warp instructions (interp / decoded).
     /// Bit-identical results by contract; see [`ExecTier`].
-    /// `Default` does *not* consult the environment — callers that want
-    /// `GPUCMP_SIM_TIER` respected use [`ExecTier::from_env`].
     pub tier: ExecTier,
 }
 
@@ -112,6 +110,31 @@ impl Default for ExecOptions {
 }
 
 impl ExecOptions {
+    /// The options the environment asks for. `Default` does *not* consult
+    /// the environment; this is the one place that does.
+    ///
+    /// - `GPUCMP_SIM_THREADS=N` simulates thread blocks on `N` host workers
+    ///   (`0` = one per available core); unset or unparsable means serial.
+    /// - `GPUCMP_SIM_TIER={interp,decoded}` selects the execution tier;
+    ///   unset or unknown values fall back to the default (decoded).
+    /// - `GPUCMP_MEMCHECK` turns the memcheck sanitizer on when set to
+    ///   anything but empty, `0` or `false`.
+    pub fn from_env() -> Self {
+        let var = |name| std::env::var(name).ok();
+        ExecOptions {
+            threads: var("GPUCMP_SIM_THREADS")
+                .and_then(|v| v.trim().parse().ok())
+                .unwrap_or(1),
+            memcheck: var("GPUCMP_MEMCHECK").is_some_and(|v| {
+                let v = v.trim();
+                !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("false")
+            }),
+            tier: var("GPUCMP_SIM_TIER")
+                .and_then(|v| ExecTier::parse(&v))
+                .unwrap_or_default(),
+        }
+    }
+
     /// Serial execution on the calling thread (the default).
     pub fn serial() -> Self {
         ExecOptions::default()
