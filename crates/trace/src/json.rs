@@ -102,7 +102,8 @@ impl From<f64> for Json {
 
 impl From<u64> for Json {
     fn from(v: u64) -> Json {
-        // u64 counters in this codebase are far below 2^63.
+        // The bits survive: a value above i64::MAX prints negative and
+        // reads back exactly as `as_i64() as u64`.
         Json::Int(v as i64)
     }
 }

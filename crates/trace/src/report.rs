@@ -195,7 +195,10 @@ impl BenchReport {
         }
         let fault_seed = match member(&doc, "fault_seed")? {
             Json::Null => None,
-            _ => Some(number(&doc, "fault_seed")? as u64),
+            seed => Some(
+                seed.as_i64()
+                    .ok_or_else(|| bad("bad 'fault_seed'".into()))? as u64,
+            ),
         };
         let mut runs = Vec::new();
         for r in array(&doc, "runs")? {
@@ -397,6 +400,17 @@ mod tests {
         assert_eq!(pr.dominant_counter, "launch_overhead_ns");
         // Written back, the parsed report is the same text.
         assert_eq!(parsed.to_text(), report.to_text());
+        // Seeds past f64's 53-bit mantissa and past i64::MAX come back
+        // exactly.
+        for seed in [(1u64 << 53) + 1, u64::MAX] {
+            let report = BenchReport {
+                fault_seed: Some(seed),
+                ..report.clone()
+            };
+            let parsed = BenchReport::from_text(&report.to_text()).unwrap();
+            assert_eq!(parsed.fault_seed, Some(seed));
+            assert_eq!(parsed.to_text(), report.to_text());
+        }
     }
 
     #[test]
