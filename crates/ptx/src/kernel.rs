@@ -1,4 +1,4 @@
-//! Kernels and modules.
+//! Kernels, their parameters and labels.
 
 use crate::inst::Inst;
 use crate::ty::Ty;
@@ -162,113 +162,6 @@ impl ResolvedKernel {
     }
 }
 
-/// A constant-memory segment embedded in a module.
-///
-/// The Sobel OpenCL variant stores its filter here; `ld.const` reads from
-/// the segment bound at kernel build time.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ConstSegment {
-    /// Segment name.
-    pub name: String,
-    /// Raw little-endian bytes.
-    pub data: Vec<u8>,
-}
-
-impl ConstSegment {
-    /// Build a segment from `f32` values.
-    pub fn from_f32(name: impl Into<String>, values: &[f32]) -> Self {
-        let mut data = Vec::with_capacity(values.len() * 4);
-        for v in values {
-            data.extend_from_slice(&v.to_le_bits().to_le_bytes());
-        }
-        ConstSegment {
-            name: name.into(),
-            data,
-        }
-    }
-
-    /// Build a segment from `i32` values.
-    pub fn from_i32(name: impl Into<String>, values: &[i32]) -> Self {
-        let mut data = Vec::with_capacity(values.len() * 4);
-        for v in values {
-            data.extend_from_slice(&v.to_le_bytes());
-        }
-        ConstSegment {
-            name: name.into(),
-            data,
-        }
-    }
-}
-
-/// Extension trait used by [`ConstSegment::from_f32`].
-trait F32Bits {
-    fn to_le_bits(self) -> u32;
-}
-
-impl F32Bits for f32 {
-    fn to_le_bits(self) -> u32 {
-        self.to_bits()
-    }
-}
-
-/// A module: a set of kernels plus module-level constant segments, the unit
-/// `clBuildProgram` / the CUDA fat binary would carry.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Module {
-    /// Kernels by definition order.
-    pub kernels: Vec<Kernel>,
-    /// Constant-memory segments; segment `i` starts at the byte offset
-    /// recorded in [`Module::const_offsets`].
-    pub const_segments: Vec<ConstSegment>,
-}
-
-impl Module {
-    /// Empty module.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Look a kernel up by name.
-    pub fn kernel(&self, name: &str) -> Option<&Kernel> {
-        self.kernels.iter().find(|k| k.name == name)
-    }
-
-    /// Add a constant segment, returning its byte offset in the module's
-    /// constant bank (segments are packed in order, 16-byte aligned).
-    pub fn push_const_segment(&mut self, seg: ConstSegment) -> u32 {
-        let offset = self.const_bank_size();
-        self.const_segments.push(seg);
-        offset
-    }
-
-    /// Byte offsets of each constant segment in the packed constant bank.
-    pub fn const_offsets(&self) -> Vec<u32> {
-        let mut offsets = Vec::with_capacity(self.const_segments.len());
-        let mut off = 0u32;
-        for seg in &self.const_segments {
-            offsets.push(off);
-            off += (seg.data.len() as u32 + 15) & !15;
-        }
-        offsets
-    }
-
-    /// Total size of the packed constant bank in bytes.
-    pub fn const_bank_size(&self) -> u32 {
-        self.const_segments
-            .iter()
-            .fold(0u32, |acc, s| acc + ((s.data.len() as u32 + 15) & !15))
-    }
-
-    /// Flatten the constant segments into one packed bank image.
-    pub fn const_bank_image(&self) -> Vec<u8> {
-        let mut image = vec![0u8; self.const_bank_size() as usize];
-        for (seg, off) in self.const_segments.iter().zip(self.const_offsets()) {
-            image[off as usize..off as usize + seg.data.len()].copy_from_slice(&seg.data);
-        }
-        image
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,19 +211,6 @@ mod tests {
             Inst::Ret,
         ];
         assert_eq!(k.resolve().unwrap_err(), "kernel t: label L1 defined twice");
-    }
-
-    #[test]
-    fn const_segments_pack_aligned() {
-        let mut m = Module::new();
-        let o1 = m.push_const_segment(ConstSegment::from_f32("a", &[1.0, 2.0, 3.0]));
-        let o2 = m.push_const_segment(ConstSegment::from_i32("b", &[7]));
-        assert_eq!(o1, 0);
-        assert_eq!(o2, 16); // 12 bytes rounded up to 16
-        let image = m.const_bank_image();
-        assert_eq!(image.len(), 32);
-        assert_eq!(f32::from_le_bytes(image[4..8].try_into().unwrap()), 2.0);
-        assert_eq!(i32::from_le_bytes(image[16..20].try_into().unwrap()), 7);
     }
 
     #[test]

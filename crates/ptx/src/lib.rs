@@ -45,7 +45,7 @@ pub mod validate;
 pub use builder::KernelBuilder;
 pub use hash::kernel_hash;
 pub use inst::{Address, AtomOp, CmpOp, Inst, Op1, Op2, Op3, TexRef};
-pub use kernel::{ConstSegment, Kernel, LabelId, Module, Param, ResolvedKernel};
+pub use kernel::{Kernel, LabelId, Param, ResolvedKernel};
 pub use reg::{Operand, Reg, Special};
 pub use stats::{classify, InstClass, InstStats};
 pub use ty::{Space, Ty};

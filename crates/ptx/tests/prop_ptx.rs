@@ -1,9 +1,7 @@
 //! Property tests for the virtual ISA containers: builder/label
-//! resolution, statistics consistency and constant-bank packing.
+//! resolution and statistics consistency.
 
-use gpucmp_ptx::{
-    ConstSegment, Inst, InstClass, InstStats, KernelBuilder, LabelId, Module, Op2, Ty,
-};
+use gpucmp_ptx::{Inst, InstClass, InstStats, KernelBuilder, LabelId, Op2, Ty};
 use proptest::prelude::*;
 
 proptest! {
@@ -72,26 +70,6 @@ proptest! {
         for (pc, &label) in labels.iter().enumerate() {
             let t = r.target(pc);
             prop_assert!(matches!(r.kernel.body[t], Inst::Label(l) if l == label));
-        }
-    }
-
-    #[test]
-    fn const_bank_packing_preserves_every_segment(
-        segs in prop::collection::vec(prop::collection::vec(any::<f32>(), 1..20), 1..10)
-    ) {
-        let mut m = Module::new();
-        let mut offsets = Vec::new();
-        for (i, s) in segs.iter().enumerate() {
-            offsets.push(m.push_const_segment(ConstSegment::from_f32(format!("s{i}"), s)));
-        }
-        let image = m.const_bank_image();
-        for (seg, off) in segs.iter().zip(&offsets) {
-            prop_assert_eq!(*off % 16, 0, "segments are 16-byte aligned");
-            for (j, v) in seg.iter().enumerate() {
-                let at = *off as usize + j * 4;
-                let got = f32::from_le_bytes(image[at..at + 4].try_into().unwrap());
-                prop_assert_eq!(got.to_bits(), v.to_bits());
-            }
         }
     }
 
