@@ -11,8 +11,8 @@
 //! - **point b** — the radius loop (`#pragma unroll RADIUS`).
 //!
 //! The paper's source configurations: CUDA unrolls at both points, OpenCL
-//! only at b. [`FdtdOpts`] selects any combination for the Fig. 6/7
-//! ablations.
+//! only at b. [`Fdtd::with_unroll_a`] toggles point a for the Fig. 6/7
+//! ablations; point b is always unrolled.
 
 use crate::common::{check_f32, rng, verdict, Benchmark, Metric, RunOutput, Scale, Window};
 use gpucmp_compiler::{ld_global, Api, Builtin, DslKernel, Expr, KernelDef, Unroll, Var};
@@ -31,26 +31,6 @@ pub const UNROLL_A: u32 = 9;
 /// Stencil coefficients, index 0 = centre.
 pub const COEFF: [f32; 5] = [0.25, 0.14, 0.08, 0.03, 0.01];
 
-/// Unroll-point configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FdtdOpts {
-    /// Unroll the z loop by [`UNROLL_A`] (paper point *a*); `None` = paper
-    /// default (CUDA yes, OpenCL no).
-    pub unroll_a: Option<bool>,
-    /// Unroll the radius loop (paper point *b*); both sources have this
-    /// pragma in the paper.
-    pub unroll_b: bool,
-}
-
-impl Default for FdtdOpts {
-    fn default() -> Self {
-        FdtdOpts {
-            unroll_a: None,
-            unroll_b: true,
-        }
-    }
-}
-
 /// FDTD benchmark. `dimx`/`dimy` are interior extents (multiples of 16);
 /// `dimz` is the total plane count including the 2R z-halo.
 #[derive(Clone, Debug)]
@@ -61,8 +41,9 @@ pub struct Fdtd {
     pub dimy: i32,
     /// Total z planes (including halo).
     pub dimz: i32,
-    /// Unroll options.
-    pub opts: FdtdOpts,
+    /// Unroll the z loop by [`UNROLL_A`] (paper point *a*); `None` = paper
+    /// default (CUDA yes, OpenCL no).
+    pub unroll_a: Option<bool>,
     /// Split the volume into two z-chunks on two explicit streams, each
     /// carrying upload → stencil → readback; chunk 2's upload overlaps
     /// chunk 1's kernel (double buffering). Each chunk re-uploads the
@@ -79,14 +60,14 @@ impl Fdtd {
                 dimx: 32,
                 dimy: 32,
                 dimz: 22,
-                opts: FdtdOpts::default(),
+                unroll_a: None,
                 streams: false,
             },
             Scale::Paper => Fdtd {
                 dimx: 128,
                 dimy: 128,
                 dimz: 35, // 27 interior planes = 3 x the unroll factor
-                opts: FdtdOpts::default(),
+                unroll_a: None,
                 streams: false,
             },
         }
@@ -94,13 +75,7 @@ impl Fdtd {
 
     /// Override the point-a pragma.
     pub fn with_unroll_a(mut self, v: bool) -> Self {
-        self.opts.unroll_a = Some(v);
-        self
-    }
-
-    /// Override the point-b pragma.
-    pub fn with_unroll_b(mut self, v: bool) -> Self {
-        self.opts.unroll_b = v;
+        self.unroll_a = Some(v);
         self
     }
 
@@ -215,14 +190,10 @@ impl Fdtd {
                             * coef_c.ld(rr as i64),
                 );
             }
-            // x/y taps from the shared tile — the paper's point-b loop
-            let b_unroll = if self.opts.unroll_b {
-                Unroll::Full
-            } else {
-                Unroll::None
-            };
+            // x/y taps from the shared tile — the paper's point-b loop,
+            // unrolled in both of its sources
             let coef_b = coef_c;
-            k.for_(1i32, r + 1, 1, b_unroll, |k, rr| {
+            k.for_(1i32, r + 1, 1, Unroll::Full, |k, rr| {
                 let c = k.let_(Ty::F32, coef_b.ld(rr.clone()));
                 let sum = k.let_(
                     Ty::F32,
@@ -400,7 +371,7 @@ impl Benchmark for Fdtd {
     }
 
     fn run(&self, gpu: &mut dyn Gpu) -> Result<RunOutput, RtError> {
-        let unroll_a = self.opts.unroll_a.unwrap_or(gpu.api() == Api::Cuda);
+        let unroll_a = self.unroll_a.unwrap_or(gpu.api() == Api::Cuda);
         let def = self.kernel(unroll_a);
         let h = gpu.build(&def)?;
         let vol = self.volume();
@@ -447,11 +418,11 @@ mod tests {
     fn fdtd_verifies_all_unroll_combinations() {
         let mut cuda = Cuda::new(DeviceSpec::gtx480()).unwrap();
         for a in [true, false] {
-            for b in [true, false] {
-                let bench = Fdtd::new(Scale::Quick).with_unroll_a(a).with_unroll_b(b);
-                let r = bench.run(&mut cuda).unwrap();
-                assert!(r.verify.is_pass(), "a={a} b={b}: {:?}", r.verify);
-            }
+            let r = Fdtd::new(Scale::Quick)
+                .with_unroll_a(a)
+                .run(&mut cuda)
+                .unwrap();
+            assert!(r.verify.is_pass(), "a={a}: {:?}", r.verify);
         }
         let mut ocl = OpenCl::create_any(DeviceSpec::gtx280());
         let r = Fdtd::new(Scale::Quick).run(&mut ocl).unwrap();

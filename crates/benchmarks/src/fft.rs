@@ -34,8 +34,6 @@ const STAGES: usize = 9;
 pub struct Fft {
     /// Number of 512-point transforms.
     pub batches: u32,
-    /// Inverse transform (conjugate twiddles + 1/N scaling).
-    pub inverse: bool,
 }
 
 impl Fft {
@@ -46,26 +44,13 @@ impl Fft {
                 Scale::Quick => 8,
                 Scale::Paper => 192,
             },
-            inverse: false,
         }
     }
 
-    /// The inverse transform.
-    pub fn inverse(mut self) -> Self {
-        self.inverse = true;
-        self
-    }
-
-    /// Build the kernel (the paper's Table V "forward" kernel when
-    /// `inverse == false`). Public so the Table V experiment can compile
-    /// it standalone.
+    /// Build the kernel (the paper's Table V "forward" kernel). Public so
+    /// the Table V experiment can compile it standalone.
     pub fn kernel(&self) -> KernelDef {
-        let sign = if self.inverse { 1.0f64 } else { -1.0f64 };
-        let mut k = DslKernel::new(if self.inverse {
-            "fft512_inv"
-        } else {
-            "fft512_fwd"
-        });
+        let mut k = DslKernel::new("fft512_fwd");
         let in_re = k.param_ptr("in_re");
         let in_im = k.param_ptr("in_im");
         let out_re = k.param_ptr("out_re");
@@ -128,7 +113,7 @@ impl Fft {
                     |k| {
                         let angle = k.let_(
                             Ty::F32,
-                            Expr::from(pos).cast(Ty::F32) * (sign * PI / half as f64) as f32,
+                            Expr::from(pos).cast(Ty::F32) * (-PI / half as f64) as f32,
                         );
                         let wr = k.let_(Ty::F32, Expr::from(angle).cos());
                         let wi = k.let_(Ty::F32, Expr::from(angle).sin());
@@ -144,20 +129,10 @@ impl Fft {
         }
         k.barrier();
         // ---- store ----
-        let scale = if self.inverse {
-            1.0f32 / N as f32
-        } else {
-            1.0f32
-        };
         for j in 0..PER_THREAD {
             let i = Expr::from(tid) + (j as i32 * THREADS as i32);
             let re = sm_re.ld(i.clone());
             let im = sm_im.ld(i.clone());
-            let (re, im) = if self.inverse {
-                (re * scale, im * scale)
-            } else {
-                (re, im)
-            };
             k.st_global(out_re.clone(), Expr::from(base) + i.clone(), Ty::F32, re);
             k.st_global(out_im.clone(), Expr::from(base) + i, Ty::F32, im);
         }
@@ -167,7 +142,6 @@ impl Fft {
     /// f64 reference DFT-free FFT (iterative radix-2, same algorithm) for
     /// verification.
     pub fn reference(&self, re: &[f32], im: &[f32]) -> (Vec<f32>, Vec<f32>) {
-        let sign = if self.inverse { 1.0 } else { -1.0 };
         let mut out_re = vec![0.0f64; re.len()];
         let mut out_im = vec![0.0f64; im.len()];
         for batch in 0..re.len() / N {
@@ -187,7 +161,7 @@ impl Fft {
                     let pos = bfly % half;
                     let top = b0 + (bfly / half) * 2 * half + pos;
                     let bot = top + half;
-                    let angle = sign * PI * pos as f64 / half as f64;
+                    let angle = -PI * pos as f64 / half as f64;
                     let (wr, wi) = (angle.cos(), angle.sin());
                     let (xr, xi) = (out_re[bot], out_im[bot]);
                     let (tr, ti) = (xr * wr - xi * wi, xr * wi + xi * wr);
@@ -196,12 +170,6 @@ impl Fft {
                     out_im[top] = ui + ti;
                     out_re[bot] = ur - tr;
                     out_im[bot] = ui - ti;
-                }
-            }
-            if self.inverse {
-                for i in 0..N {
-                    out_re[b0 + i] /= N as f64;
-                    out_im[b0 + i] /= N as f64;
                 }
             }
         }
@@ -290,23 +258,6 @@ mod tests {
         let mut ocl = OpenCl::create_any(DeviceSpec::gtx480());
         let ro = b.run(&mut ocl).unwrap();
         assert!(ro.verify.is_pass(), "{:?}", ro.verify);
-    }
-
-    #[test]
-    fn inverse_round_trips() {
-        // forward then inverse must reproduce the input
-        let fwd = Fft::new(Scale::Quick);
-        let inv = Fft::new(Scale::Quick).inverse();
-        let total = fwd.batches as usize * N;
-        let mut r = rng(0x17);
-        let re: Vec<f32> = (0..total).map(|_| r.gen_range(-1.0..1.0f32)).collect();
-        let im: Vec<f32> = (0..total).map(|_| r.gen_range(-1.0..1.0f32)).collect();
-        let (fr, fi) = fwd.reference(&re, &im);
-        let (br, bi) = inv.reference(&fr, &fi);
-        for i in 0..total {
-            assert!((br[i] - re[i]).abs() < 1e-3, "re {i}");
-            assert!((bi[i] - im[i]).abs() < 1e-3, "im {i}");
-        }
     }
 
     #[test]

@@ -64,7 +64,6 @@ impl TranP {
 
     /// Disable tile padding.
     pub fn unpadded(mut self) -> Self {
-        self.opts.pad = true;
         self.opts.pad = false;
         self
     }

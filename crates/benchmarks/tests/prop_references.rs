@@ -114,7 +114,7 @@ proptest! {
 
     #[test]
     fn fft_device_matches_reference_at_random_batches(batches in 1u32..6) {
-        let b = gpucmp_benchmarks::fft::Fft { batches, inverse: false };
+        let b = gpucmp_benchmarks::fft::Fft { batches };
         let mut gpu = Cuda::new(DeviceSpec::gtx480()).unwrap();
         let r = b.run(&mut gpu).unwrap();
         prop_assert!(r.verify.is_pass(), "{:?}", r.verify);
