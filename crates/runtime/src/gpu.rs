@@ -293,9 +293,9 @@ impl Session {
     /// allocation, so recycling the arena allocates nothing), loaded
     /// kernels, streams and the virtual clock are discarded. Existing
     /// [`KernelHandle`]s, [`DevPtr`]s, [`Stream`]s and [`Event`]s are
-    /// invalidated. Host-side knobs (exec
-    /// options with memcheck, tracing, fault plan, instruction-budget cap)
-    /// survive; the trace buffer restarts empty.
+    /// invalidated. Host-side knobs (the exec options, memcheck among
+    /// them; tracing; the fault plan; the instruction-budget cap) survive;
+    /// the trace buffer restarts empty.
     ///
     /// Enqueued stream work that was never committed to the timeline (for
     /// example because a fault poisoned the context before the next
@@ -546,16 +546,12 @@ impl Session {
         if self.pending.is_empty() {
             return;
         }
-        let (ops, events): (Vec<TimelineOp>, Vec<Vec<SessionEvent>>) =
-            std::mem::take(&mut self.pending)
-                .into_iter()
-                .map(|p| (p.op, p.events))
-                .unzip();
-        let mut events: BTreeMap<(u32, u64), Vec<SessionEvent>> = ops
-            .iter()
-            .map(|o| (o.stream, o.seq))
-            .zip(events)
-            .filter(|(_, e)| !e.is_empty())
+        let pending = std::mem::take(&mut self.pending);
+        let ops: Vec<TimelineOp> = pending.iter().map(|p| p.op.clone()).collect();
+        let mut events: BTreeMap<(u32, u64), Vec<SessionEvent>> = pending
+            .into_iter()
+            .filter(|p| !p.events.is_empty())
+            .map(|p| ((p.op.stream, p.op.seq), p.events))
             .collect();
         for placed in self.timeline.schedule(&ops) {
             for mut e in events
@@ -954,11 +950,10 @@ pub trait Gpu {
         } else {
             cfg
         };
-        let opts = s.exec;
         let loaded = &mut s.kernels[h.0];
         // The decoded tier decodes a kernel at its first launch; the
         // handle keeps the decode until reset.
-        let code = match opts.tier {
+        let code = match s.exec.tier {
             ExecTier::Interp => None,
             ExecTier::Decoded => Some(Arc::clone(loaded.decoded.get_or_insert_with(|| {
                 s.decode_count += 1;
@@ -975,7 +970,7 @@ pub trait Gpu {
             &mut s.gmem,
             &const_bank,
             cfg,
-            &opts,
+            &s.exec,
             code.as_deref(),
         ) {
             Ok(r) => r,
